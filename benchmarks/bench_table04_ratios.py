@@ -1,26 +1,16 @@
 """Table 4 bench: the 33×14 compression-ratio sweep + Friedman ranking."""
-from benchmarks.conftest import BENCH_SCALE, write_table
+from benchmarks.conftest import write_table
 
-from repro.core.tables import full_sweep, metrics_pdf, ranking_summary, table4
+from repro.core.tables import ranking_summary
+from repro.run import table04
 
 
-def test_table04_compression_ratios(benchmark, spark):
-    def run():
-        res = full_sweep(spark, scale=BENCH_SCALE)
-        m = metrics_pdf(res)
-        res.unpersist()
-        return m
-
-    m = benchmark.pedantic(run, rounds=1, iterations=1)
-    t4 = table4(m)
-    rs = ranking_summary(m)
+def test_table04_compression_ratios(benchmark, ctx):
+    t = benchmark.pedantic(table04, args=(ctx,), rounds=1, iterations=1)
+    t4 = t.frames["table04"]
+    rs = ranking_summary(t.frames["metrics"])
     assert "Overall-avg" in t4.index
     # headline shape checks against the paper's Table 4 / Fig. 7
     assert rs.order[0] in ("shf+zstd", "shf+LZ4", "fpzip")  # bitshuffle-class on top
     assert rs.order.index("GFC") > len(rs.order) // 2  # GFC ranks low
-    extra = (
-        f"\nFriedman chi2={rs.friedman.statistic:.2f} p={rs.friedman.p_value:.2e} "
-        f"CD={rs.cd:.3f}\nranking: {' > '.join(rs.order)}\n"
-        f"top clique: {rs.groups[0] if rs.groups else '-'}\n"
-    )
-    write_table("table04", t4, extra)
+    write_table("table04", t.text)

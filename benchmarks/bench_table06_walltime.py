@@ -1,12 +1,13 @@
 """Table 6 bench: end-to-end wall time incl. modeled host↔device copies."""
 from benchmarks.conftest import write_table
 
-from repro.core.tables import table6
+from repro.run import table06
 
 
-def test_table06_walltime(benchmark, sweep_metrics):
-    t6 = benchmark.pedantic(table6, args=(sweep_metrics,), rounds=1, iterations=1)
+def test_table06_walltime(benchmark, swept_ctx):
+    t = benchmark.pedantic(table06, args=(swept_ctx,), rounds=1, iterations=1)
+    t6 = t.frames["table06"]
     assert not any(c.startswith("nv::") for c in t6.columns)
     # Observation 5: serial codecs dominate wall time despite PCIe modeling
     assert t6.loc["avg. comp", "Gorilla"] > t6.loc["avg. comp", "MPC"]
-    write_table("table06", t6)
+    write_table("table06", t.text)

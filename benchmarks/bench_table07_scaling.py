@@ -1,25 +1,23 @@
 """Tables 7/8 bench: parallel scaling over Spark partitions."""
-import pandas as pd
 from benchmarks.conftest import write_table
 
-from repro.core.harness import scaling_benchmark
+from repro.run import table07_08
 
-METHODS = ["pFPC", "shf+zstd"]  # slow + mid-speed; full 4-method run in jobs/
+METHODS = ["pFPC", "shf+zstd"]  # slow + mid-speed; `python -m repro.run table07_08` runs all 4
 PARTITIONS = (1, 2, 4, 8, 16, 32)
 
 
-def test_table07_08_scaling(benchmark, spark):
-    def run():
-        frames = []
-        for m in METHODS:
-            t = scaling_benchmark(spark, m, PARTITIONS, scale=16.0, chunk_bytes=1 << 18)
-            t.insert(0, "method", m)
-            frames.append(t)
-        return pd.concat(frames, ignore_index=True)
-
-    t = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table07_08_scaling(benchmark, ctx):
+    res = benchmark.pedantic(
+        table07_08,
+        args=(ctx,),
+        kwargs={"methods": METHODS, "partitions": PARTITIONS, "scale": 16.0},
+        rounds=1,
+        iterations=1,
+    )
+    t = res.frames["table07_08"]
     # Observation 7: parallel compressors scale up with workers
     for m in METHODS:
         sub = t[t.method == m]
         assert sub.comp_speedup.max() > 1.2, m
-    write_table("table07_08", t)
+    write_table("table07_08", res.text)

@@ -1,24 +1,16 @@
 """Table 11 bench: read + decode + query in the simulated in-memory DB."""
-import tempfile
+from benchmarks.conftest import write_table
 
-from benchmarks.conftest import BENCH_SCALE, write_table
-
-from repro.core.tables import TABLE11_METHODS
-from repro.dbsim.store import format_table11, table11
+from repro.run import table11
 
 
-def test_table11_query(benchmark, spark):
-    workdir = tempfile.mkdtemp(prefix="fcbench_bench11_")
-
-    def run():
-        return table11(spark, workdir, TABLE11_METHODS, scale=BENCH_SCALE)
-
-    raw = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table11_query(benchmark, ctx):
+    t = benchmark.pedantic(table11, args=(ctx,), rounds=1, iterations=1)
+    raw = t.frames["raw"]
     ok = raw[raw.error.isna()]
     assert len(ok) > 0
     # Observation 9: retrieval cost tracks end-to-end speed — fpzip's slow
     # decode must cost more than the bitshuffle methods'
     per_method = ok.groupby("method").decode_ms.mean()
     assert per_method["fpzip"] > per_method["shf+zstd"]
-    fmt = format_table11(raw, TABLE11_METHODS)
-    write_table("table11", fmt)
+    write_table("table11", t.text)

@@ -1,8 +1,9 @@
 """Shared fixtures for the per-table benchmarks.
 
-The main 33×14 sweep feeds Tables 4, 5 and 6 (exactly as in the paper),
-so it runs once per session. ``REPRO_BENCH_SCALE`` shrinks or grows the
-corpus (default 0.5 ≈ 6 MB total, a few minutes for the full suite).
+Each benchmark builds its table through ``repro.run``. The main 33×14
+sweep feeds Tables 4, 5 and 6 (exactly as in the paper), so one
+session-wide context runs it once. ``REPRO_BENCH_SCALE`` shrinks or grows
+the corpus (default 0.5 ≈ 6 MB total, a few minutes for the full suite).
 
 Each benchmark writes the paper-style table it reproduces to
 ``benchmarks/out/`` so EXPERIMENTS.md can be diffed against fresh runs.
@@ -12,24 +13,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.run import Context
+
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 OUT_DIR = Path(__file__).parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
 
 
-def write_table(name: str, pdf, extra: str = "") -> None:
-    import pandas as pd
-
-    with pd.option_context("display.width", 250, "display.max_columns", 50):
-        (OUT_DIR / f"{name}.txt").write_text(pdf.round(3).to_string() + "\n" + extra)
+def write_table(name: str, text: str) -> None:
+    (OUT_DIR / f"{name}.txt").write_text(text)
 
 
 @pytest.fixture(scope="session")
-def sweep_metrics(spark):
-    """Per-(dataset, method) metrics from the main sweep (Tables 4/5/6)."""
-    from repro.core.tables import full_sweep, metrics_pdf
+def ctx(spark) -> Context:
+    return Context(scale=BENCH_SCALE, session=spark)
 
-    res = full_sweep(spark, scale=BENCH_SCALE)
-    m = metrics_pdf(res)
-    res.unpersist()
-    return m
+
+@pytest.fixture(scope="session")
+def swept_ctx(ctx) -> Context:
+    """The context with the main sweep (Tables 4/5/6) already run."""
+    ctx.sweep()
+    return ctx

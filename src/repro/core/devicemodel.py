@@ -9,23 +9,3 @@ effective PCIe 3.0 x16 rate (the paper's Quadro RTX 6000 platform).
 from __future__ import annotations
 
 PCIE_BYTES_PER_SEC = 12e9
-
-
-def h2d_seconds(nbytes: int) -> float:
-    """Modeled host-to-device copy time."""
-    return nbytes / PCIE_BYTES_PER_SEC
-
-
-def d2h_seconds(nbytes: int) -> float:
-    """Modeled device-to-host copy time."""
-    return nbytes / PCIE_BYTES_PER_SEC
-
-
-def compress_transfer_seconds(orig_bytes: int, comp_bytes: int) -> float:
-    """Compression moves the input up and the compressed stream back."""
-    return h2d_seconds(orig_bytes) + d2h_seconds(comp_bytes)
-
-
-def decompress_transfer_seconds(orig_bytes: int, comp_bytes: int) -> float:
-    """Decompression moves the compressed stream up and the output back."""
-    return h2d_seconds(comp_bytes) + d2h_seconds(orig_bytes)

@@ -27,7 +27,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.codecs.base import GPU_METHODS, TABLE4_METHODS
+from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, load_codec
 from repro.data.corpus import corpus, generate, get_spec
 
 RESULT_SCHEMA = StructType(
@@ -191,8 +191,8 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
     pcie = F.lit(PCIE_BYTES_PER_SEC)
     comp_s = F.col("comp_ns") / 1e9
     decomp_s = F.col("decomp_ns") / 1e9
-    comp_xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
-    decomp_xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
+    # each direction moves the input up and the output back
+    xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
     return agg.select(
         "dataset",
         "domain",
@@ -203,10 +203,10 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
         (F.col("orig_bytes") / comp_s / 1e9).alias("ct_gbs"),
         (F.col("orig_bytes") / decomp_s / 1e9).alias("dt_gbs"),
         (
-            F.when(is_gpu, (comp_s + comp_xfer) * 1e3).otherwise(comp_s * 1e3)
+            F.when(is_gpu, (comp_s + xfer) * 1e3).otherwise(comp_s * 1e3)
         ).alias("comp_wall_ms"),
         (
-            F.when(is_gpu, (decomp_s + decomp_xfer) * 1e3).otherwise(decomp_s * 1e3)
+            F.when(is_gpu, (decomp_s + xfer) * 1e3).otherwise(decomp_s * 1e3)
         ).alias("decomp_wall_ms"),
     )
 
@@ -225,9 +225,11 @@ def failures(results: DataFrame) -> DataFrame:
 
 # --- Tables 7/8: parallel scaling -------------------------------------------
 
-def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    from repro.codecs.base import load_codec
+_COMP_SCHEMA = StructType([StructField("comp_bytes", LongType())])
+_DECOMP_SCHEMA = StructType([StructField("orig_bytes", LongType())])
 
+
+def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
     for pdf in batches:
         sizes = []
         for row in pdf.itertuples(index=False):
@@ -238,8 +240,6 @@ def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
 
 
 def _decompress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    from repro.codecs.base import load_codec
-
     for pdf in batches:
         sizes = []
         for row in pdf.itertuples(index=False):
@@ -270,8 +270,6 @@ def scaling_benchmark(
     raw = arr.tobytes()
     chunks = [raw[o : o + chunk_bytes] for o in range(0, len(raw), chunk_bytes)]
     dtype = str(arr.dtype)
-    from repro.codecs.base import load_codec
-
     codec = load_codec(method)
     comp_chunks = [
         codec.compress(np.frombuffer(c, dtype=np.dtype(dtype))) for c in chunks
@@ -292,31 +290,23 @@ def scaling_benchmark(
             }
         )
 
-    from pyspark.sql.types import LongType, StructField, StructType
-
     # untimed warm-up: the first Spark job pays Python-worker startup and
     # codec-module import, which would be misattributed to the p=1 config
     warm = spark.createDataFrame(work_pdf(chunks[:4]), schema=_WORK_SCHEMA)
-    warm.mapInPandas(
-        _compress_only, schema=StructType([StructField("comp_bytes", LongType())])
-    ).count()
+    warm.mapInPandas(_compress_only, schema=_COMP_SCHEMA).count()
 
     rows = []
     for p in partition_counts:
         dfc = spark.createDataFrame(work_pdf(chunks), schema=_WORK_SCHEMA).repartition(p)
         t0 = time.perf_counter()
-        n = dfc.mapInPandas(
-            _compress_only, schema=StructType([StructField("comp_bytes", LongType())])
-        ).count()
+        n = dfc.mapInPandas(_compress_only, schema=_COMP_SCHEMA).count()
         wall_c = time.perf_counter() - t0
         assert n == len(chunks)
         dfd = spark.createDataFrame(
             work_pdf(comp_chunks), schema=_WORK_SCHEMA
         ).repartition(p)
         t0 = time.perf_counter()
-        n = dfd.mapInPandas(
-            _decompress_only, schema=StructType([StructField("orig_bytes", LongType())])
-        ).count()
+        n = dfd.mapInPandas(_decompress_only, schema=_DECOMP_SCHEMA).count()
         wall_d = time.perf_counter() - t0
         assert n == len(chunks)
         rows.append(

@@ -3,7 +3,7 @@
 One full sweep (33 datasets × 14 methods) feeds Tables 4, 5 and 6, as in
 the paper; Tables 7/8 (scaling), 9 (dimension info) and 10 (block sizes)
 run their own parameterized sweeps. Each builder returns pandas frames
-shaped like the printed tables so jobs/benchmarks just format them.
+shaped like the printed tables, which ``repro.run`` formats.
 """
 from __future__ import annotations
 

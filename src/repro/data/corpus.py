@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.synth_data import tpc_numeric_matrix
-
 DOMAINS = ("HPC", "TS", "OBS", "DB")
 
 
@@ -137,6 +135,39 @@ def _taxi(g, shape):
             out[:, j] = np.round(40.7 + g.normal(size=n) * 0.05, 6)
         else:
             out[:, j] = np.round(-74.0 + g.normal(size=n) * 0.05, 6)
+    return out
+
+
+def tpc_numeric_matrix(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
+    """Numeric (rows, cols) float matrix shaped like a TPC fact table.
+
+    The paper's DB-domain datasets (Table 3) are the numeric columns
+    extracted from TPC-H / TPCx-BB / TPC-DS transactions; this produces the
+    same column *kinds* (money amounts at 2 decimals, quantities, rates,
+    keys-as-floats). ``kind`` picks the column mix: ``"order"``/``"store"``/
+    ``"web"``/``"catalog"`` are money-heavy (2-decimal) mixes,
+    ``"lineitem"`` is the quantity/price/discount/tax mix of TPC-H lineitem.
+    """
+    g = np.random.default_rng(seed)
+    out = np.empty((rows, cols), dtype=np.float64)
+    if kind == "lineitem":
+        patterns = ["quantity", "price", "rate", "rate"]
+    elif kind == "order":
+        patterns = ["price"]
+    elif kind in ("store", "web", "catalog"):
+        patterns = ["price", "quantity", "rate", "key"]
+    else:
+        raise ValueError(f"unknown TPC kind {kind!r}")
+    for c in range(cols):
+        p = patterns[c % len(patterns)]
+        if p == "quantity":
+            out[:, c] = g.integers(1, 51, rows).astype(np.float64)
+        elif p == "price":
+            out[:, c] = np.round(g.random(rows) * 90000 + 900, 2)
+        elif p == "rate":
+            out[:, c] = np.round(g.random(rows) * 0.1, 2)
+        else:  # key
+            out[:, c] = g.integers(1, rows + 1, rows).astype(np.float64)
     return out
 
 

@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.codecs.base import load_codec
-from repro.data.corpus import generate, get_spec
+from repro.data.corpus import corpus, generate, get_spec
 
 _DEFAULT_CHUNK = 64 * 1024  # compression block = 64 KiB page (§6.2)
 
@@ -123,13 +123,10 @@ def table11(
     datasets=None,
 ) -> pd.DataFrame:
     """Table 11: read + decode time per method and the shared query time."""
-    from repro.data.corpus import corpus
-
     datasets = datasets or [s.name for s in corpus() if s.domain == "DB"]
     rows = []
     warmed = False
     for ds in datasets:
-        query_ms = None
         for m in methods:
             path = os.path.join(workdir, f"{ds}__{m.replace(':', '_').replace('+', '_')}")
             try:
@@ -144,7 +141,6 @@ def table11(
                      "decode_ms": np.nan, "query_ms": np.nan, "error": str(e)}
                 )
                 continue
-            query_ms = t.query_ms if query_ms is None else (query_ms + t.query_ms) / 2
             rows.append(
                 {"name": ds, "method": m, "read_ms": t.read_ms,
                  "decode_ms": t.decode_ms, "query_ms": t.query_ms, "error": None}

@@ -9,7 +9,14 @@ from repro.core.metrics import (
     throughput_gbs,
     value_entropy,
 )
-from repro.data.corpus import DOMAINS, corpus, corpus_table, generate, get_spec
+from repro.data.corpus import (
+    DOMAINS,
+    corpus,
+    corpus_table,
+    generate,
+    get_spec,
+    tpc_numeric_matrix,
+)
 
 SPECS = corpus()
 
@@ -93,6 +100,22 @@ class TestCorpusTable:
         row = tab[tab.name == "astro-mhd"].iloc[0]
         assert row.paper_size_bytes == 548458560
         assert row.paper_entropy == 0.97
+
+
+class TestTpcNumericMatrix:
+    def test_tpc_numeric_matrix_kinds(self):
+        for kind in ("order", "store", "web", "catalog", "lineitem"):
+            m = tpc_numeric_matrix(kind, 100, 4, seed=1)
+            assert m.shape == (100, 4)
+            assert np.isfinite(m).all()
+
+    def test_tpc_numeric_matrix_unknown_kind(self):
+        with pytest.raises(ValueError):
+            tpc_numeric_matrix("nope", 10, 2, seed=0)
+
+    def test_money_columns_two_decimals(self):
+        m = tpc_numeric_matrix("order", 500, 1, seed=2)
+        np.testing.assert_array_equal(np.round(m, 2), m)
 
 
 class TestMetrics:
