@@ -1,10 +1,11 @@
 """Simulated in-memory database for query-overhead microbenchmarks (§5.1.2).
 
 The paper's tool reads compressed chunks from HDF5 files into pandas
-dataframes and scans them. h5py is unavailable offline, so the container
-format is a Parquet file of (chunk_id, payload) rows on local disk read
-through Spark (DESIGN.md substitution #6) — both are chunked binary
-columnar containers, and the three timed primitives are identical:
+dataframes and scans them in one process. h5py is unavailable offline, so
+the container format is a single Parquet file of (chunk_id, dtype, payload)
+rows on local disk, written and read with pyarrow in the calling process
+(DESIGN.md substitution #6) — both are chunked binary columnar containers,
+and the three timed primitives are identical:
 
 1. **file I/O** — read the compressed chunks from disk;
 2. **data decoding** — decompress chunks into a pandas dataframe;
@@ -14,17 +15,23 @@ columnar containers, and the three timed primitives are identical:
 from __future__ import annotations
 
 import os
+import shutil
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from repro.codecs.base import load_codec
 from repro.data.corpus import corpus, generate, get_spec
 
 _DEFAULT_CHUNK = 64 * 1024  # compression block = 64 KiB page (§6.2)
+
+_BLOB_SCHEMA = pa.schema(
+    [("chunk_id", pa.int64()), ("dtype", pa.string()), ("payload", pa.binary())]
+)
 
 
 def _columns(arr: np.ndarray) -> list[str]:
@@ -33,7 +40,7 @@ def _columns(arr: np.ndarray) -> list[str]:
 
 
 def store_compressed(
-    spark: SparkSession,
+    spark,
     path: str,
     dataset: str,
     method: str,
@@ -41,25 +48,34 @@ def store_compressed(
     scale: float = 1.0,
     chunk_bytes: int = _DEFAULT_CHUNK,
 ) -> dict:
-    """Compress a corpus dataset and persist the chunks as a Parquet blob file."""
+    """Compress a corpus dataset and write its chunks as one Parquet blob file.
+
+    Whatever is at ``path`` is replaced, including a directory of part
+    files, and missing parent directories are created. ``spark`` is unused;
+    it stays in the signature for callers that pass a session.
+    """
     spec = get_spec(dataset)
     arr = generate(spec, scale)
     raw = arr.tobytes()
     step = chunk_bytes - chunk_bytes % arr.dtype.itemsize
     codec = load_codec(method)
-    rows = []
-    for i, off in enumerate(range(0, len(raw), step)):
-        chunk = np.frombuffer(raw[off : off + step], dtype=arr.dtype)
-        rows.append(
-            {"chunk_id": i, "dtype": str(arr.dtype), "payload": codec.compress(chunk)}
-        )
-    pdf = pd.DataFrame(rows)
-    spark.createDataFrame(pdf).coalesce(1).write.mode("overwrite").parquet(path)
-    comp_bytes = int(pdf.payload.map(len).sum())
+    payloads = [
+        codec.compress(np.frombuffer(raw[off : off + step], dtype=arr.dtype))
+        for off in range(0, len(raw), step)
+    ]
+    n = len(payloads)
+    table = pa.table(
+        {"chunk_id": range(n), "dtype": [str(arr.dtype)] * n, "payload": payloads},
+        schema=_BLOB_SCHEMA,
+    )
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    pq.write_table(table, path)
     return {
         "orig_bytes": len(raw),
-        "comp_bytes": comp_bytes,
-        "n_chunks": len(rows),
+        "comp_bytes": sum(map(len, payloads)),
+        "n_chunks": n,
         "shape": arr.shape,
     }
 
@@ -74,22 +90,23 @@ class QueryTiming:
     n_rows: int
 
 
-def read_decode_query(
-    spark: SparkSession, path: str, dataset: str, method: str
-) -> QueryTiming:
-    """Time the three primitives of Fig. 4 on a stored dataset."""
+def read_decode_query(spark, path: str, dataset: str, method: str) -> QueryTiming:
+    """Time the three primitives of Fig. 4 on a stored dataset.
+
+    ``spark`` is unused; it stays in the signature for callers that pass a
+    session.
+    """
     spec = get_spec(dataset)
     codec = load_codec(method)
 
     t0 = time.perf_counter()
-    rows = (
-        spark.read.parquet(path).orderBy("chunk_id").collect()
-    )  # file I/O: chunks into driver memory
+    # file I/O: chunks into memory. ParquetFile, not read_table, which would
+    # load the pyarrow.dataset layer and raise peak memory for one file.
+    table = pq.ParquetFile(path).read()
     t1 = time.perf_counter()
 
-    parts = [
-        codec.decompress(bytes(r.payload)) for r in rows
-    ]
+    # store_compressed writes one file in chunk_id order, so rows come back in it
+    parts = [codec.decompress(p) for p in table.column("payload").to_pylist()]
     flat = np.concatenate(parts) if parts else np.zeros(0, spec.dtype)
     ncols = spec.extent[1] if len(spec.extent) > 1 else 1
     mat = flat.reshape(-1, ncols) if ncols > 1 else flat.reshape(-1, 1)
@@ -115,7 +132,6 @@ def read_decode_query(
 
 
 def table11(
-    spark: SparkSession,
     workdir: str,
     methods,
     *,
@@ -125,20 +141,17 @@ def table11(
     """Table 11: read + decode time per method and the shared query time."""
     datasets = datasets or [s.name for s in corpus() if s.domain == "DB"]
     rows = []
-    warmed = False
     for ds in datasets:
         for m in methods:
             path = os.path.join(workdir, f"{ds}__{m.replace(':', '_').replace('+', '_')}")
             try:
-                store_compressed(spark, path, ds, m, scale=scale)
-                if not warmed:  # first parquet read pays one-off reader init
-                    read_decode_query(spark, path, ds, m)
-                    warmed = True
-                t = read_decode_query(spark, path, ds, m)
+                store_compressed(None, path, ds, m, scale=scale)
+                t = read_decode_query(None, path, ds, m)
             except Exception as e:  # the paper's "-" cells
                 rows.append(
                     {"name": ds, "method": m, "read_ms": np.nan,
-                     "decode_ms": np.nan, "query_ms": np.nan, "error": str(e)}
+                     "decode_ms": np.nan, "query_ms": np.nan,
+                     "error": f"{type(e).__name__}: {e}"}
                 )
                 continue
             rows.append(

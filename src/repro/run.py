@@ -149,7 +149,7 @@ def table10(ctx: Context) -> Table:
 
 def table11(ctx: Context) -> Table:
     with tempfile.TemporaryDirectory(prefix="fcbench_dbsim_") as workdir:
-        raw = dbsim_table11(ctx.spark, workdir, tables.TABLE11_METHODS, scale=ctx.scale)
+        raw = dbsim_table11(workdir, tables.TABLE11_METHODS, scale=ctx.scale)
     t11 = format_table11(raw, tables.TABLE11_METHODS)
     return Table(
         "Table 11: read+decode and query time (ms) from blob files",

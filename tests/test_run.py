@@ -1,8 +1,8 @@
-"""The table entry point: registry, name checking and two cheap builders."""
+"""The table entry point: registry, name checking and three cheap builders."""
 import pytest
 
-from repro.core.tables import DIM_METHODS
-from repro.run import TABLES, Context, main, table03, table09
+from repro.core.tables import DIM_METHODS, TABLE11_METHODS
+from repro.run import TABLES, Context, main, table03, table09, table11
 
 
 def test_registry_names():
@@ -26,6 +26,14 @@ def test_table03_needs_no_session():
     ctx = Context(scale=0.05)
     t = table03(ctx)
     assert len(t.frames["table03"]) == 33
+    assert ctx.session is None
+
+
+def test_table11_needs_no_session():
+    ctx = Context(scale=0.05)
+    t11 = table11(ctx).frames["table11"]
+    assert len(t11) == 7
+    assert list(t11.columns) == TABLE11_METHODS + ["query"]
     assert ctx.session is None
 
 
