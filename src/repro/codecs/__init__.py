@@ -11,6 +11,5 @@ from repro.codecs.base import (  # noqa: F401
     TABLE4_METHODS,
     TABLE10_METHODS,
     all_methods,
-    get_codec,
     load_codec,
 )

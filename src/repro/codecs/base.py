@@ -24,6 +24,23 @@ _DTYPES = {0: np.dtype("float32"), 1: np.dtype("float64")}
 _DTYPE_CODE = {v: k for k, v in _DTYPES.items()}
 
 
+def parse_envelope(blob: bytes) -> tuple[np.dtype, int, tuple[int, ...], bytes]:
+    """Split a blob into ``(dtype, count, dims, payload)``.
+
+    Raises ``ValueError`` for a blob shorter than its header, bad magic or
+    an unknown dtype code. ``dims`` is empty for 1-D input.
+    """
+    if len(blob) < 11 or len(blob) < 11 + 4 * blob[2]:
+        raise ValueError(f"blob of {len(blob)} bytes is shorter than its header")
+    magic, dcode, ndims, count = struct.unpack_from("<BBBQ", blob, 0)
+    if magic != _MAGIC:
+        raise ValueError(f"bad magic 0x{magic:02x}")
+    if dcode not in _DTYPES:
+        raise ValueError(f"unknown dtype code {dcode}")
+    dims = struct.unpack_from(f"<{ndims}I", blob, 11)
+    return _DTYPES[dcode], count, dims, blob[11 + 4 * ndims :]
+
+
 class CodecFailure(Exception):
     """A codec declined or failed on this input (the paper's "-" entries)."""
 
@@ -46,8 +63,10 @@ class Codec:
     """Base codec: envelope handling + the compress/decompress contract.
 
     Subclasses implement ``_encode(words, dims) -> bytes`` and
-    ``_decode(payload, dtype, count, dims) -> words`` over unsigned words
-    of the input's width.
+    ``_decode(payload, wdt, count, dims) -> words`` over unsigned words
+    of the input's width (``wdt`` is uint32 or uint64). ``decompress``
+    returns empty input itself, so ``_decode`` always sees ``count > 0``;
+    the words it returns may be wider than ``wdt`` and are cast back.
     """
 
     info: MethodInfo
@@ -70,22 +89,18 @@ class Codec:
         return header + payload
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        magic, dcode, ndims = struct.unpack_from("<BBB", blob, 0)
-        if magic != _MAGIC:
-            raise ValueError("bad magic")
-        (count,) = struct.unpack_from("<Q", blob, 3)
-        dims = struct.unpack_from(f"<{ndims}I", blob, 11)
-        off = 11 + 4 * ndims
-        dtype = _DTYPES[dcode]
-        words = self._decode(blob[off:], dtype, count, tuple(dims) or (count,))
-        return from_words(words, dtype)
+        dtype, count, dims, payload = parse_envelope(blob)
+        if count == 0:
+            return np.zeros(0, dtype=dtype)
+        wdt = np.dtype(f"u{dtype.itemsize}")
+        return from_words(self._decode(payload, wdt, count, dims or (count,)), dtype)
 
     # -- to be provided by subclasses ------------------------------------
     def _encode(self, words: np.ndarray, dims: tuple[int, ...]) -> bytes:
         raise NotImplementedError
 
     def _decode(
-        self, payload: bytes, dtype: np.dtype, count: int, dims: tuple[int, ...]
+        self, payload: bytes, wdt: np.dtype, count: int, dims: tuple[int, ...]
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -97,14 +112,6 @@ def register(cls: type[Codec]) -> type[Codec]:
     """Class decorator adding a codec to the global registry by its name."""
     _REGISTRY[cls.info.name] = cls
     return cls
-
-
-def get_codec(name: str) -> Codec:
-    """Instantiate a registered codec by Table-4 column name."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown codec {name!r}; known: {sorted(_REGISTRY)}") from None
 
 
 def all_methods() -> dict[str, MethodInfo]:
@@ -167,6 +174,13 @@ def _ensure_loaded() -> None:
 
 
 def load_codec(name: str) -> Codec:
-    """Registry lookup that first imports all codec modules (executor-safe)."""
+    """Instantiate a registered codec by Table-4 column name.
+
+    Imports every codec module first, so it also works in fresh Spark
+    executor workers.
+    """
     _ensure_loaded()
-    return get_codec(name)
+    try:
+        return _REGISTRY[name]()
+    except KeyError:
+        raise KeyError(f"unknown codec {name!r}; known: {sorted(_REGISTRY)}") from None

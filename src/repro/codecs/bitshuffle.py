@@ -1,6 +1,6 @@
 """bitshuffle::LZ4 and bitshuffle::zstd (§3.7, Masui et al. 2015).
 
-Workflow: the input is split into blocks (default 4096 bytes, chosen by
+Workflow: the input is split into blocks (4096 bytes, the default chosen by
 the original to fit L1 cache); within each block the element bits are
 arranged as an (m × elem_bits) matrix and transposed so the i-th bits of
 all elements land in consecutive bytes; a downstream dictionary coder
@@ -15,51 +15,40 @@ partitions provide the thread-level parallelism in the harness.
 from __future__ import annotations
 
 import zlib
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.codecs.lz77 import lz_compress, lz_decompress
+from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
 from repro.core.bitio import bitshuffle_bits, bitunshuffle_bits
 
-DEFAULT_BLOCK_BYTES = 4096
+_BLOCK_BYTES = 4096
 
 
 class _BitshuffleBase(Codec):
-    block_bytes = DEFAULT_BLOCK_BYTES
-
-    # backend hooks -------------------------------------------------------
-    def _backend_compress(self, data: bytes) -> bytes:
-        raise NotImplementedError
-
-    def _backend_decompress(self, data: bytes) -> bytes:
-        raise NotImplementedError
+    # the dictionary coder applied to each shuffled block
+    _backend_compress: Callable[[bytes], bytes]
+    _backend_decompress: Callable[[bytes], bytes]
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
-        raw = np.ascontiguousarray(words).view(np.uint8)
         width = words.dtype.itemsize * 8
-        out = bytearray()
-        for off in range(0, max(raw.size, 1), self.block_bytes):
-            block = raw[off : off + self.block_bytes]
-            shuffled = bitshuffle_bits(block, width).tobytes()
-            comp = self._backend_compress(shuffled)
-            out += len(comp).to_bytes(4, "little")
-            out += comp
-        return bytes(out)
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        width = dtype.itemsize * 8
-        chunks = []
-        p = 0
-        while p < len(payload):
-            clen = int.from_bytes(payload[p : p + 4], "little")
-            p += 4
-            shuffled = np.frombuffer(self._backend_decompress(payload[p : p + clen]), np.uint8)
-            p += clen
-            chunks.append(bitunshuffle_bits(shuffled, width))
-        raw = np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
-        return np.frombuffer(raw.tobytes(), dtype=word_dt, count=count)
+        def compress(block: bytes) -> bytes:
+            shuffled = bitshuffle_bits(np.frombuffer(block, np.uint8), width)
+            return self._backend_compress(shuffled.tobytes())
+
+        return frame_chunks(words.tobytes(), _BLOCK_BYTES, compress)
+
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
+
+        def decompress(comp: bytes) -> bytes:
+            shuffled = np.frombuffer(self._backend_decompress(comp), np.uint8)
+            return bitunshuffle_bits(shuffled, width).tobytes()
+
+        return np.frombuffer(unframe_chunks(payload, decompress), dtype=wdt, count=count)
 
 
 @register
@@ -68,12 +57,8 @@ class BitshuffleLZ4(_BitshuffleBase):
         name="shf+LZ4", year=2015, domain="HPC", precision="S,D", arch="CPU",
         parallel="SIMD + threads", trait="transform + dict.", group="dictionary",
     )
-
-    def _backend_compress(self, data: bytes) -> bytes:
-        return lz_compress(data)
-
-    def _backend_decompress(self, data: bytes) -> bytes:
-        return lz_decompress(data)
+    _backend_compress = staticmethod(lz_compress)
+    _backend_decompress = staticmethod(lz_decompress)
 
 
 @register
@@ -82,9 +67,5 @@ class BitshuffleZstd(_BitshuffleBase):
         name="shf+zstd", year=2015, domain="HPC", precision="S,D", arch="CPU",
         parallel="SIMD + threads", trait="transform + dict.", group="dictionary",
     )
-
-    def _backend_compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, 9)
-
-    def _backend_decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
+    _backend_compress = staticmethod(partial(zlib.compress, level=9))
+    _backend_decompress = staticmethod(zlib.decompress)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
+from repro.codecs.base import Codec, CodecFailure, MethodInfo, parse_envelope, register
 from repro.core.bitio import bit_length_u64
 from repro.core.floatmap import from_words, to_words
 
@@ -93,22 +93,17 @@ class BUFF(Codec):
         v = q.astype(np.float64) / (float(1 << f) if f else 1.0)
         return np.round(v, p).astype(dtype)
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
+    def _decode(self, payload, wdt, count, dims):
         mode, p, f, k = payload[0], payload[1], payload[2], payload[3]
         if mode == _RAW:
-            return np.frombuffer(payload, dtype=word_dt, count=count, offset=12)
+            return np.frombuffer(payload, dtype=wdt, count=count, offset=12)
         qmin = int(np.frombuffer(payload, np.int64, 1, 4)[0])
-        word_sz = dtype.itemsize
         nexc = int(np.frombuffer(payload, np.uint32, 1, 12)[0])
         exc_idx = np.frombuffer(payload, np.uint32, nexc, 16).astype(np.int64)
-        exc_words = np.frombuffer(payload, word_dt, nexc, 16 + 4 * nexc)
-        data_off = 16 + (4 + word_sz) * nexc
-        fdtype = np.float32 if dtype.itemsize == 4 else np.float64
+        exc_words = np.frombuffer(payload, wdt, nexc, 16 + 4 * nexc)
+        data_off = 16 + (4 + wdt.itemsize) * nexc
         delta = self._gather(payload, count, k, data_off)
-        rec = self._reconstruct(delta, qmin, f, p, fdtype)
+        rec = self._reconstruct(delta, qmin, f, p, np.dtype(f"f{wdt.itemsize}"))
         out = to_words(rec).copy()
         out[exc_idx] = exc_words
         return out
@@ -150,19 +145,15 @@ class BUFF(Codec):
         return lt | eq
 
     def _query_setup(self, blob: bytes, value: float, allow_oob: str = "eq"):
-        arr = self.decompress(blob)  # envelope parse; payload re-read below
-        ndims = blob[2]
-        off = 11 + 4 * ndims
-        payload = blob[off:]
-        if payload[0] == _RAW:
-            if allow_oob == "eq":
-                return None, arr == np.array(value).astype(arr.dtype), None
-            return None, arr <= np.array(value).astype(arr.dtype), None
-        p, f, k = payload[1], payload[2], payload[3]
+        dtype, count, _, payload = parse_envelope(blob)
+        if count == 0 or payload[0] == _RAW:  # nothing packed: decode and compare
+            arr = self.decompress(blob)
+            op = np.equal if allow_oob == "eq" else np.less_equal
+            return None, op(arr, np.array(value).astype(dtype)), None
+        f, k = payload[2], payload[3]
         qmin = int(np.frombuffer(payload, np.int64, 1, 4)[0])
-        count = arr.size
         nexc = int(np.frombuffer(payload, np.uint32, 1, 12)[0])
-        data_off = 16 + (4 + arr.dtype.itemsize) * nexc
+        data_off = 16 + (4 + dtype.itemsize) * nexc
         cols = np.frombuffer(payload, np.uint8, count * k, data_off).reshape(k, count)
         scale = float(1 << f) if f else 1.0
         qv = int(np.rint(value * scale)) - qmin

@@ -124,11 +124,8 @@ class Chimp(Codec):
             np.array(vals, dtype=np.uint64), np.array(nbits, dtype=np.int64)
         )
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        width = dtype.itemsize * 8
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         r = BitReader(payload)
         read = r.read
         out = np.empty(count, dtype=np.uint64)
@@ -164,6 +161,4 @@ class Chimp(Codec):
                 v = stored[(i - 1) % _PREV] ^ x
             out[i] = v
             stored[i % _PREV] = v
-        if width == 32:
-            return out.astype(np.uint32)
         return out

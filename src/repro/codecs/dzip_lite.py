@@ -94,11 +94,8 @@ class DzipLite(Codec):
         out.put(0 if low < _QUARTER else 1, pending)
         return out.getvalue()
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        nbytes = count * dtype.itemsize
-        if nbytes == 0:
-            return np.zeros(0, dtype=word_dt)
+    def _decode(self, payload, wdt, count, dims):
+        nbytes = count * wdt.itemsize
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
         bits += [0] * 64  # zero padding past the stream end
         model = _Model()
@@ -137,4 +134,4 @@ class DzipLite(Codec):
             model.update(ctx, sym)
             out.append(sym)
             ctx = sym
-        return np.frombuffer(bytes(out), dtype=word_dt, count=count)
+        return np.frombuffer(bytes(out), dtype=wdt, count=count)

@@ -29,25 +29,7 @@ import numpy as np
 from repro.codecs.base import Codec, MethodInfo, register
 from repro.codecs.huffman import Huffman
 from repro.core.bitio import BitReader, bit_length_u64, pack_bits, unpack_bits
-from repro.core.floatmap import from_ordered, to_ordered, unzigzag, zigzag
-
-
-def _difference(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    for ax in range(out.ndim):
-        sl1 = [slice(None)] * out.ndim
-        sl0 = [slice(None)] * out.ndim
-        sl1[ax] = slice(1, None)
-        sl0[ax] = slice(None, -1)
-        out[tuple(sl1)] = out[tuple(sl1)] - out[tuple(sl0)]
-    return out
-
-
-def _integrate(res: np.ndarray) -> np.ndarray:
-    out = res.copy()
-    for ax in range(out.ndim - 1, -1, -1):
-        np.cumsum(out, axis=ax, out=out)
-    return out
+from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
 
 @register
@@ -63,7 +45,7 @@ class FpzipLike(Codec):
             return b""
         shape = tuple(dims) if len(dims) <= 3 else (words.size,)
         arr = to_ordered(words).reshape(shape)
-        res = _difference(arr).reshape(-1)
+        res = lag_diff(arr, 1, range(arr.ndim)).reshape(-1)
         if width == 32:
             zz = zigzag(res.view(np.int32), 32).astype(np.uint64)
         else:
@@ -83,11 +65,8 @@ class FpzipLike(Codec):
             + bstream
         )
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
-        width = dtype.itemsize * 8
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         tlen = int.from_bytes(payload[:2], "little")
         hlen = int.from_bytes(payload[2:10], "little")
         huff, _ = Huffman.deserialize(payload[10 : 10 + tlen])
@@ -98,10 +77,7 @@ class FpzipLike(Codec):
             sym > 0, np.uint64(1) << np.maximum(sym - 1, 0).astype(np.uint64), np.uint64(0)
         )
         zz = top | rem
-        if width == 32:
-            res = unzigzag(zz.astype(np.uint32), 32).view(np.uint32)
-        else:
-            res = unzigzag(zz, 64).view(np.uint64)
+        res = unzigzag(zz, width).view(wdt)
         shape = tuple(dims) if len(dims) <= 3 else (count,)
-        arr = _integrate(res.reshape(shape))
+        arr = lag_sum(res.reshape(shape), 1, range(len(shape)))
         return from_ordered(arr.reshape(-1))

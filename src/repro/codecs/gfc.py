@@ -21,30 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
-from repro.core.bitio import pack_bits, pack_bytes, unpack_bits, unpack_bytes
+from repro.core.bitio import bit_length_u64, pack_bits, pack_bytes, unpack_bits, unpack_bytes
+from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
 _SUB = 32  # values per subchunk == GPU warp width
 _LIMIT = 512 * 1024 * 1024  # original GFC cannot exceed 512 MB input
-
-
-def _as_u64_words(words: np.ndarray) -> np.ndarray:
-    """View the raw byte stream as uint64 words, zero-padding the tail."""
-    raw = np.ascontiguousarray(words).view(np.uint8)
-    pad = (-raw.size) % 8
-    if pad:
-        raw = np.concatenate([raw, np.zeros(pad, dtype=np.uint8)])
-    return raw.view(np.uint64)
-
-
-def _significant_bytes(mag: np.ndarray) -> np.ndarray:
-    """Number of significant (non-leading-zero) bytes per uint64, 0..8."""
-    nzb = np.zeros(mag.size, dtype=np.int64)
-    m = mag.copy()
-    for _ in range(8):
-        nz = m > 0
-        nzb[nz] += 1
-        m[nz] >>= np.uint64(8)
-    return nzb
 
 
 @register
@@ -57,7 +38,7 @@ class GFC(Codec):
     def _encode(self, words: np.ndarray, dims) -> bytes:
         if words.size * words.dtype.itemsize > _LIMIT:
             raise CodecFailure("GFC input limit is 512 MB")
-        w = _as_u64_words(words)
+        w = as_u64_stream(words)
         n = w.size
         if n == 0:
             return b""
@@ -71,19 +52,16 @@ class GFC(Codec):
         sign = (r < 0).astype(np.uint64)
         with np.errstate(over="ignore"):
             mag = np.abs(r).view(np.uint64)  # INT64_MIN wraps to itself: still exact
-        lzb = np.minimum(8 - _significant_bytes(mag), 7)  # 3-bit field; >=1 byte out
+        sig = (bit_length_u64(mag).astype(np.int64) + 7) // 8  # significant bytes
+        lzb = np.minimum(8 - sig, 7)  # 3-bit field; >=1 byte out
         nzb = 8 - lzb
         nibble = (sign << np.uint64(3)) | lzb.astype(np.uint64)
         head = pack_bits(nibble, np.full(n, 4, dtype=np.int64))
         body = pack_bytes(mag, nzb)
         return len(head).to_bytes(4, "little") + head + body
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
-        nbytes_total = count * dtype.itemsize
-        n = (nbytes_total + 7) // 8  # uint64 word count incl. padded tail
+    def _decode(self, payload, wdt, count, dims):
+        n = (count * wdt.itemsize + 7) // 8  # uint64 word count incl. padded tail
         hlen = int.from_bytes(payload[:4], "little")
         head = payload[4 : 4 + hlen]
         nibbles = unpack_bits(head, np.full(n, 4, dtype=np.int64))
@@ -100,6 +78,4 @@ class GFC(Codec):
             cum = np.cumsum(last_r.astype(np.uint64), dtype=np.uint64)
             reps = np.minimum(n - _SUB * np.arange(1, last_r.size + 1), _SUB)
             bases[_SUB:] = np.repeat(cum, reps)
-        words64 = bases + r
-        raw = words64.view(np.uint8)[:nbytes_total]
-        return np.ascontiguousarray(raw).view(word_dt)
+        return u64_stream_to_words(bases + r, wdt, count)

@@ -78,11 +78,8 @@ class Gorilla(Codec):
             np.array(vals, dtype=np.uint64), np.array(nbits, dtype=np.int64)
         )
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        width = dtype.itemsize * 8
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         r = BitReader(payload)
         out = np.empty(count, dtype=np.uint64)
         prev = r.read(width)
@@ -106,6 +103,4 @@ class Gorilla(Codec):
                 prev_lz, prev_tz = lz, tz
             prev ^= x
             out[i] = prev
-        if width == 32:
-            return out.astype(np.uint32)
         return out

@@ -18,8 +18,11 @@ successive misses) keeps throughput tolerable on incompressible float data.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 _MIN_MATCH = 4
 _MAX_OFFSET = 0xFFFF
+_SKIP_TRIGGER = 6  # the search step grows by one every 2**6 misses
 
 
 def _write_varnib(out: bytearray, v: int) -> None:
@@ -31,7 +34,7 @@ def _write_varnib(out: bytearray, v: int) -> None:
     out.append(v)
 
 
-def lz_compress(data: bytes, *, skip_trigger: int = 6) -> bytes:
+def lz_compress(data: bytes) -> bytes:
     """Compress ``data``; always round-trips through :func:`lz_decompress`."""
     data = bytes(data)
     n = len(data)
@@ -41,7 +44,7 @@ def lz_compress(data: bytes, *, skip_trigger: int = 6) -> bytes:
     table: dict[bytes, int] = {}
     anchor = 0
     i = 0
-    search = 1 << skip_trigger
+    search = 1 << _SKIP_TRIGGER
     while i < n - _MIN_MATCH:
         key = data[i : i + 4]
         j = table.get(key, -1)
@@ -57,9 +60,9 @@ def lz_compress(data: bytes, *, skip_trigger: int = 6) -> bytes:
             _emit(out, data, anchor, i, i - j, l)
             i += l
             anchor = i
-            search = 1 << skip_trigger
+            search = 1 << _SKIP_TRIGGER
         else:
-            i += search >> skip_trigger
+            i += search >> _SKIP_TRIGGER
             search += 1
     # final literal-only sequence
     ll = n - anchor
@@ -120,4 +123,30 @@ def lz_decompress(blob: bytes) -> bytes:
         else:  # overlapping copy replicates the window, byte at a time
             for k in range(ml):
                 out.append(out[start + k])
+    return bytes(out)
+
+
+def frame_chunks(data: bytes, size: int, compress: Callable[[bytes], bytes]) -> bytes:
+    """Compress ``data`` in independent ``size``-byte chunks.
+
+    Each compressed chunk is prefixed by its u32 little-endian length.
+    Empty ``data`` still yields one (empty) chunk.
+    """
+    out = bytearray()
+    for off in range(0, max(len(data), 1), size):
+        comp = compress(data[off : off + size])
+        out += len(comp).to_bytes(4, "little")
+        out += comp
+    return bytes(out)
+
+
+def unframe_chunks(payload: bytes, decompress: Callable[[bytes], bytes]) -> bytes:
+    """Inverse of :func:`frame_chunks`: the decompressed chunks, concatenated."""
+    out = bytearray()
+    p = 0
+    while p < len(payload):
+        clen = int.from_bytes(payload[p : p + 4], "little")
+        p += 4
+        out += decompress(payload[p : p + clen])
+        p += clen
     return bytes(out)

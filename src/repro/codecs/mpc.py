@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.codecs.ndzip import _transpose_groups
+from repro.core.bitio import transpose_groups
+from repro.core.floatmap import lag_diff, lag_sum
 
 _CHUNK = 1024
 _LAG = 6
@@ -36,19 +37,6 @@ def _pad_to_chunks(w: np.ndarray) -> np.ndarray:
     if pad:
         w = np.concatenate([w, np.zeros(pad, dtype=w.dtype)])
     return w.reshape(-1, _CHUNK)
-
-
-def _lnv_forward(mat: np.ndarray, lag: int) -> np.ndarray:
-    out = mat.copy()
-    out[:, lag:] = mat[:, lag:] - mat[:, :-lag]
-    return out
-
-
-def _lnv_inverse(res: np.ndarray, lag: int) -> np.ndarray:
-    out = res.copy()
-    for c in range(lag):  # each residue class mod `lag` is an independent cumsum
-        np.cumsum(res[:, c::lag], axis=1, dtype=res.dtype, out=out[:, c::lag])
-    return out
 
 
 @register
@@ -64,11 +52,11 @@ class MPC(Codec):
         dt = words.dtype
         width = dt.itemsize * 8
         mat = _pad_to_chunks(words)
-        res = _lnv_forward(mat, _LAG)  # LNV6s
+        res = lag_diff(mat, _LAG, (1,))  # LNV6s
         nchunks = mat.shape[0]
         # BIT: bit transpose per width-sized group of words
-        tw = _transpose_groups(res.reshape(-1, width), width).reshape(nchunks, -1)
-        tw = _lnv_forward(tw, 1)  # LNV1s on transposed words
+        tw = transpose_groups(res.reshape(-1, width), width).reshape(nchunks, -1)
+        tw = lag_diff(tw, 1, (1,))  # LNV1s on transposed words
         flat = tw.reshape(-1)
         # ZE: zero-word bitmap + copied non-zeros
         nonzero = flat != 0
@@ -76,11 +64,8 @@ class MPC(Codec):
         body = np.ascontiguousarray(flat[nonzero])
         return bitmap.tobytes() + body.tobytes()
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
-        width = dtype.itemsize * 8
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         padded = -(-count // _CHUNK) * _CHUNK
         nchunks = padded // _CHUNK
         nmap = (padded + 7) // 8
@@ -88,11 +73,11 @@ class MPC(Codec):
             np.frombuffer(payload, dtype=np.uint8, count=nmap), count=padded
         ).astype(bool)
         nz_words = np.frombuffer(
-            payload, dtype=word_dt, count=int(nonzero.sum()), offset=nmap
+            payload, dtype=wdt, count=int(nonzero.sum()), offset=nmap
         )
-        flat = np.zeros(padded, dtype=word_dt)
+        flat = np.zeros(padded, dtype=wdt)
         flat[nonzero] = nz_words
-        tw = _lnv_inverse(flat.reshape(nchunks, -1), 1)
-        res = _transpose_groups(tw.reshape(-1, width), width).reshape(nchunks, _CHUNK)
-        mat = _lnv_inverse(res, _LAG)
+        tw = lag_sum(flat.reshape(nchunks, -1), 1, (1,))
+        res = transpose_groups(tw.reshape(-1, width), width).reshape(nchunks, _CHUNK)
+        mat = lag_sum(res, _LAG, (1,))
         return mat.reshape(-1)[:count]

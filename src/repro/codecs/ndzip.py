@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.floatmap import from_ordered, to_ordered, unzigzag, zigzag
+from repro.core.bitio import transpose_groups
+from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
 _BLOCK = 4096
 _SIDE = {1: (4096,), 2: (64, 64), 3: (16, 16, 16)}
@@ -83,36 +84,6 @@ def _join_blocks(blocks: np.ndarray, side, tiles, out: np.ndarray) -> None:
     out[crop] = arr
 
 
-def _lorenzo_forward(blocks: np.ndarray) -> np.ndarray:
-    out = blocks.copy()
-    for ax in range(1, out.ndim):
-        sl1 = [slice(None)] * out.ndim
-        sl0 = [slice(None)] * out.ndim
-        sl1[ax] = slice(1, None)
-        sl0[ax] = slice(None, -1)
-        out[tuple(sl1)] = out[tuple(sl1)] - out[tuple(sl0)]
-    return out
-
-
-def _lorenzo_inverse(res: np.ndarray) -> np.ndarray:
-    out = res.copy()
-    for ax in range(out.ndim - 1, 0, -1):
-        np.cumsum(out, axis=ax, out=out)
-    return out
-
-
-def _transpose_groups(vals: np.ndarray, width: int) -> np.ndarray:
-    """Batched bit transpose of (G, width) word groups (self-inverse)."""
-    g = vals.shape[0]
-    if g == 0:
-        return vals
-    bits = np.unpackbits(vals.view(np.uint8).reshape(g, -1), axis=1)
-    bits = bits.reshape(g, width, width)
-    bits = bits.transpose(0, 2, 1)
-    packed = np.packbits(bits.reshape(g, -1), axis=1)
-    return np.ascontiguousarray(packed).view(vals.dtype).reshape(g, width)
-
-
 class _NdzipBase(Codec):
     def _encode(self, words: np.ndarray, dims) -> bytes:
         if words.size == 0:
@@ -124,10 +95,10 @@ class _NdzipBase(Codec):
         blocks, mask = _split_blocks(arr, side, tiles)
         tail = arr[~mask]
         if blocks.shape[0]:
-            res = _lorenzo_forward(blocks).reshape(-1)
+            res = lag_diff(blocks, 1, range(1, blocks.ndim)).reshape(-1)
             signed = res.view(np.int32 if width == 32 else np.int64)
             res = zigzag(signed, width).reshape(-1, width)
-            tw = _transpose_groups(res, width)
+            tw = transpose_groups(res, width)
             nonzero = tw != 0
             bitmaps = np.packbits(nonzero, axis=1)
             body = np.ascontiguousarray(tw[nonzero])
@@ -136,17 +107,14 @@ class _NdzipBase(Codec):
             enc = b""
         return len(enc).to_bytes(8, "little") + enc + tail.tobytes()
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
-        width = dtype.itemsize * 8
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         side, tiles = _tile_info(dims)
         shape = tuple(dims) if len(side) == len(dims) else (int(np.prod(dims)),)
         enc_len = int.from_bytes(payload[:8], "little")
         enc = payload[8 : 8 + enc_len]
         tail_buf = payload[8 + enc_len :]
-        out = np.zeros(shape, dtype=word_dt)
+        out = np.zeros(shape, dtype=wdt)
         mask = np.zeros(shape, dtype=bool)
         nblocks = int(np.prod(tiles)) if all(tiles) else 0
         if nblocks:
@@ -155,19 +123,19 @@ class _NdzipBase(Codec):
             bitmaps = np.frombuffer(enc, dtype=np.uint8, count=mapbytes)
             nonzero = np.unpackbits(bitmaps.reshape(groups, -1), axis=1).astype(bool)
             nz = np.frombuffer(
-                enc, dtype=word_dt, count=int(nonzero.sum()), offset=mapbytes
+                enc, dtype=wdt, count=int(nonzero.sum()), offset=mapbytes
             )
-            tw = np.zeros((groups, width), dtype=word_dt)
+            tw = np.zeros((groups, width), dtype=wdt)
             tw[nonzero] = nz
-            zz = _transpose_groups(tw, width).reshape(-1)
+            zz = transpose_groups(tw, width).reshape(-1)
             res = (
-                unzigzag(zz, width).view(word_dt).reshape((nblocks,) + tuple(side))
+                unzigzag(zz, width).view(wdt).reshape((nblocks,) + tuple(side))
             )
-            blocks = _lorenzo_inverse(res)
+            blocks = lag_sum(res, 1, range(1, res.ndim))
             crop = tuple(slice(0, t * s) for t, s in zip(tiles, side))
             mask[crop] = True
             _join_blocks(blocks, side, tiles, out)
-        tail = np.frombuffer(tail_buf, dtype=word_dt, count=int((~mask).sum()))
+        tail = np.frombuffer(tail_buf, dtype=wdt, count=int((~mask).sum()))
         out[~mask] = tail
         return from_ordered(out.reshape(-1))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.codecs.lz77 import lz_compress, lz_decompress
+from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
 from repro.core.bitio import bit_length_u64
 from repro.core.floatmap import unzigzag, zigzag
 
@@ -38,25 +38,10 @@ class NvLZ4(Codec):
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
-        raw = np.ascontiguousarray(words).view(np.uint8).tobytes()
-        out = bytearray()
-        for off in range(0, max(len(raw), 1), _LZ_CHUNK):
-            chunk = raw[off : off + _LZ_CHUNK]
-            comp = lz_compress(chunk)
-            out += len(comp).to_bytes(4, "little")
-            out += comp
-        return bytes(out)
+        return frame_chunks(words.tobytes(), _LZ_CHUNK, lz_compress)
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        raw = bytearray()
-        p = 0
-        while p < len(payload):
-            clen = int.from_bytes(payload[p : p + 4], "little")
-            p += 4
-            raw += lz_decompress(payload[p : p + clen])
-            p += clen
-        return np.frombuffer(bytes(raw), dtype=word_dt, count=count)
+    def _decode(self, payload, wdt, count, dims):
+        return np.frombuffer(unframe_chunks(payload, lz_decompress), dtype=wdt, count=count)
 
 
 @register
@@ -98,11 +83,8 @@ class NvBitcomp(Codec):
                 parts.append(np.ascontiguousarray(lebytes[b, :nvals, :k]).tobytes())
         return b"".join(parts)
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
-        if count == 0:
-            return np.zeros(0, dtype=word_dt)
-        width = dtype.itemsize * 8
+    def _decode(self, payload, wdt, count, dims):
+        width = wdt.itemsize * 8
         nblocks = -(-count // _BC_BLOCK)
         kbytes = np.frombuffer(payload, dtype=np.uint8, count=nblocks).astype(np.int64)
         firsts = np.frombuffer(payload, dtype=np.uint64, count=nblocks, offset=nblocks)
@@ -121,12 +103,4 @@ class NvBitcomp(Codec):
                 np.ascontiguousarray(block).view(np.uint64).reshape(-1)
             )
             off += nvals * k
-        zz = zz[:count]
-        if width == 32:
-            delta = unzigzag(zz.astype(np.uint32), 32).view(np.uint32).astype(np.uint64)
-        else:
-            delta = unzigzag(zz, 64).view(np.uint64)
-        w = np.cumsum(delta, dtype=np.uint64)
-        if width == 32:
-            return w.astype(np.uint32)
-        return w
+        return np.cumsum(unzigzag(zz[:count], width).view(wdt), dtype=np.uint64)

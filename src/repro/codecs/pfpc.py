@@ -123,9 +123,7 @@ class PFPC(Codec):
             out += body
         return bytes(out)
 
-    def _decode(self, payload, dtype, count, dims):
-        if count == 0:
-            return np.zeros(0, dtype=np.uint32 if dtype.itemsize == 4 else np.uint64)
+    def _decode(self, payload, wdt, count, dims):
         nthreads = int(np.frombuffer(payload, np.uint32, 1)[0])
         p = 4
         parts = []
@@ -143,4 +141,4 @@ class PFPC(Codec):
             resids = unpack_bytes(body, nzb)
             parts.append(_decompress_chunk(codes, resids))
         stream = np.concatenate(parts)
-        return u64_stream_to_words(stream, dtype, count)
+        return u64_stream_to_words(stream, wdt, count)

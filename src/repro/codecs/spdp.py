@@ -26,34 +26,22 @@ import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
 from repro.codecs.lz77 import lz_compress, lz_decompress
+from repro.core.floatmap import lag_diff, lag_sum
 
 _GROUP = 8  # DIM8 byte-transpose word width (also the LNVs2 word size)
-
-
-def _lnv_forward(b: np.ndarray, lag: int) -> np.ndarray:
-    out = b.copy()
-    out[lag:] = b[lag:] - b[:-lag]
-    return out
-
-
-def _lnv_inverse(r: np.ndarray, lag: int) -> np.ndarray:
-    out = np.empty_like(r)
-    for c in range(lag):
-        np.cumsum(r[c::lag], dtype=r.dtype, out=out[c::lag])
-    return out
 
 
 def _word_lnv2_forward(b: np.ndarray) -> np.ndarray:
     """LNVs2 at 8-byte-word granularity; trailing partial word untouched."""
     n = b.size - b.size % _GROUP
     w = np.ascontiguousarray(b[:n]).view(np.uint64)
-    return np.concatenate([_lnv_forward(w, 2).view(np.uint8), b[n:]])
+    return np.concatenate([lag_diff(w, 2, (0,)).view(np.uint8), b[n:]])
 
 
 def _word_lnv2_inverse(r: np.ndarray) -> np.ndarray:
     n = r.size - r.size % _GROUP
     w = np.ascontiguousarray(r[:n]).view(np.uint64)
-    return np.concatenate([_lnv_inverse(w, 2).view(np.uint8), r[n:]])
+    return np.concatenate([lag_sum(w, 2, (0,)).view(np.uint8), r[n:]])
 
 
 def _dim8_forward(b: np.ndarray) -> np.ndarray:
@@ -79,13 +67,12 @@ class SPDP(Codec):
         b = np.ascontiguousarray(words).view(np.uint8)
         r = _word_lnv2_forward(b)
         g = _dim8_forward(r)
-        f = _lnv_forward(g, 1)
+        f = lag_diff(g, 1, (0,))
         return lz_compress(f.tobytes())
 
-    def _decode(self, payload, dtype, count, dims):
-        word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
+    def _decode(self, payload, wdt, count, dims):
         f = np.frombuffer(lz_decompress(payload), dtype=np.uint8)
-        g = _lnv_inverse(f, 1)
+        g = lag_sum(f, 1, (0,))
         r = _dim8_inverse(g)
         b = _word_lnv2_inverse(r)
-        return np.frombuffer(b.tobytes(), dtype=word_dt, count=count)
+        return np.frombuffer(b.tobytes(), dtype=wdt, count=count)

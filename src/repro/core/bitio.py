@@ -223,3 +223,18 @@ def bitunshuffle_bits(shuffled: np.ndarray, elem_bits: int) -> np.ndarray:
     m = total_bits // elem_bits
     bits = np.unpackbits(shuffled).reshape(elem_bits, m)
     return np.packbits(bits.T.reshape(-1))
+
+
+def transpose_groups(vals: np.ndarray, width: int) -> np.ndarray:
+    """Batched bit transpose of (G, width) word groups (self-inverse).
+
+    The bit-transpose stage of ndzip and of MPC's BIT component.
+    """
+    g = vals.shape[0]
+    if g == 0:
+        return vals
+    bits = np.unpackbits(vals.view(np.uint8).reshape(g, -1), axis=1)
+    bits = bits.reshape(g, width, width)
+    bits = bits.transpose(0, 2, 1)
+    packed = np.packbits(bits.reshape(g, -1), axis=1)
+    return np.ascontiguousarray(packed).view(vals.dtype).reshape(g, width)

@@ -7,14 +7,11 @@ width, widened to uint64 for shared bit machinery.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 _WORD = {np.dtype("float32"): np.uint32, np.dtype("float64"): np.uint64}
-
-
-def width_bits(dtype: np.dtype) -> int:
-    """Word width in bits for a supported floating dtype (32 or 64)."""
-    return np.dtype(dtype).itemsize * 8
 
 
 def to_words(arr: np.ndarray) -> np.ndarray:
@@ -66,11 +63,36 @@ def as_u64_stream(words: np.ndarray) -> np.ndarray:
     return raw.view(np.uint64)
 
 
-def u64_stream_to_words(stream: np.ndarray, dtype: np.dtype, count: int) -> np.ndarray:
-    """Inverse of :func:`as_u64_stream`: trim padding, view as dtype's words."""
-    word_dt = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
-    raw = np.ascontiguousarray(stream).view(np.uint8)[: count * np.dtype(dtype).itemsize]
-    return np.ascontiguousarray(raw).view(word_dt)
+def u64_stream_to_words(stream: np.ndarray, wdt: np.dtype, count: int) -> np.ndarray:
+    """Inverse of :func:`as_u64_stream`: trim padding, view as ``count`` ``wdt`` words."""
+    raw = np.ascontiguousarray(stream).view(np.uint8)[: count * wdt.itemsize]
+    return np.ascontiguousarray(raw).view(wdt)
+
+
+def lag_diff(a: np.ndarray, lag: int, axes: Iterable[int]) -> np.ndarray:
+    """Wrapping residual ``a[i] - a[i - lag]`` along each axis in ``axes``.
+
+    The first ``lag`` entries along an axis are kept as they are. This is
+    the "last n-th value" (LNV) component of SPDP and MPC at lag n on one
+    axis, and, at lag 1 over every axis of a grid, the Lorenzo residual of
+    fpzip and ndzip (the separable mixed difference). Unsigned integer
+    input wraps, so :func:`lag_sum` inverts it exactly.
+    """
+    out = np.array(a, copy=True)
+    for ax in axes:
+        v = np.moveaxis(out, ax, -1)
+        v[..., lag:] = v[..., lag:] - v[..., :-lag]
+    return out
+
+
+def lag_sum(r: np.ndarray, lag: int, axes: Iterable[int]) -> np.ndarray:
+    """Inverse of :func:`lag_diff`: a cumulative sum per residue class mod ``lag``."""
+    out = np.array(r, copy=True)
+    for ax in axes:
+        v = np.moveaxis(out, ax, -1)
+        for c in range(lag):
+            np.cumsum(v[..., c::lag], axis=-1, dtype=out.dtype, out=v[..., c::lag])
+    return out
 
 
 def zigzag(x: np.ndarray, width: int) -> np.ndarray:

@@ -9,28 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def compression_ratio(orig_bytes: float, comp_bytes: float) -> float:
-    """CR = original size / compressed size (§5.2)."""
-    return orig_bytes / comp_bytes if comp_bytes else float("nan")
-
-
-def throughput_gbs(orig_bytes: float, seconds: float) -> float:
-    """CT or DT in GB/s = original size / elapsed time (§5.2)."""
-    return orig_bytes / seconds / 1e9 if seconds else float("nan")
-
-
 def harmonic_mean(xs) -> float:
     """Harmonic mean over finite positive entries (paper's CR aggregate)."""
     a = np.asarray([x for x in xs if np.isfinite(x) and x > 0], dtype=np.float64)
     if a.size == 0:
         return float("nan")
     return float(a.size / np.sum(1.0 / a))
-
-
-def arithmetic_mean(xs) -> float:
-    """Arithmetic mean over finite entries (paper's throughput aggregate)."""
-    a = np.asarray([x for x in xs if np.isfinite(x)], dtype=np.float64)
-    return float(a.mean()) if a.size else float("nan")
 
 
 def value_entropy(arr: np.ndarray) -> float:

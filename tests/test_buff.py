@@ -96,6 +96,19 @@ class TestEncodedQueries:
         mask = self.codec.query_le(self.blob, -5.0)
         assert not mask.any()
 
+    def test_packed_queries_do_not_decode(self, monkeypatch):
+        """§3.3: predicates run on the sub-columns without decompressing."""
+
+        def no_decode(blob):
+            raise AssertionError("packed-mode query decoded the blob")
+
+        monkeypatch.setattr(self.codec, "decompress", no_decode)
+        target = float(self.x[123])
+        np.testing.assert_array_equal(
+            self.codec.query_eq(self.blob, target), self.x == target
+        )
+        np.testing.assert_array_equal(self.codec.query_le(self.blob, 50.0), self.x <= 50.0)
+
     def test_query_on_raw_mode(self):
         g = np.random.default_rng(6)
         x = g.random(500)

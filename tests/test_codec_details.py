@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from repro.codecs.base import CodecFailure, load_codec
-from repro.codecs.gfc import _LIMIT, _significant_bytes
+from repro.codecs.gfc import _LIMIT
 from repro.codecs.pfpc import PFPC
-from repro.codecs.spdp import _dim8_forward, _dim8_inverse, _lnv_forward, _lnv_inverse
+from repro.codecs.spdp import _dim8_forward, _dim8_inverse
 
 
 class TestGFC:
@@ -17,10 +17,6 @@ class TestGFC:
         )
         with pytest.raises(CodecFailure):
             codec.compress(fake)
-
-    def test_significant_bytes(self):
-        vals = np.array([0, 1, 255, 256, 2**32, 2**63], dtype=np.uint64)
-        assert _significant_bytes(vals).tolist() == [0, 1, 1, 2, 5, 8]
 
     def test_f32_reinterpreted_as_u64_pairs(self):
         g = np.random.default_rng(0)
@@ -52,12 +48,6 @@ class TestPFPC:
 
 
 class TestSPDPTransforms:
-    def test_lnv_roundtrip(self):
-        g = np.random.default_rng(3)
-        b = g.integers(0, 256, 1000, dtype=np.uint8)
-        for lag in (1, 2):
-            np.testing.assert_array_equal(_lnv_inverse(_lnv_forward(b, lag), lag), b)
-
     def test_dim8_roundtrip(self):
         g = np.random.default_rng(4)
         for n in (0, 1, 7, 8, 9, 800, 805):

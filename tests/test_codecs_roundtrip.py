@@ -146,3 +146,19 @@ def test_envelope_dtype_preserved(name):
     codec = load_codec(name)
     out = codec.decompress(codec.compress(arr))
     assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("name", ALL_METHODS)
+def test_malformed_envelope_raises_value_error(name):
+    codec = load_codec(name)
+    blob = codec.compress(np.arange(12.0).reshape(3, 4))
+    bad = {
+        "empty": b"",
+        "short-header": blob[:7],
+        "short-dims": blob[:13],
+        "bad-magic": b"\x00" + blob[1:],
+        "unknown-dtype": blob[:1] + b"\x07" + blob[2:],
+    }
+    for kind, data in bad.items():
+        with pytest.raises(ValueError):
+            codec.decompress(data)

@@ -2,13 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import (
-    arithmetic_mean,
-    compression_ratio,
-    harmonic_mean,
-    throughput_gbs,
-    value_entropy,
-)
+from repro.core.metrics import harmonic_mean, value_entropy
 from repro.data.corpus import (
     DOMAINS,
     corpus,
@@ -119,20 +113,11 @@ class TestTpcNumericMatrix:
 
 
 class TestMetrics:
-    def test_compression_ratio(self):
-        assert compression_ratio(100, 50) == 2.0
-
-    def test_throughput(self):
-        assert throughput_gbs(2e9, 2.0) == 1.0
-
     def test_harmonic_mean(self):
         assert harmonic_mean([1.0, 2.0]) == pytest.approx(4 / 3)
 
     def test_harmonic_mean_skips_nan(self):
         assert harmonic_mean([2.0, float("nan")]) == 2.0
-
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == 2.0
 
     def test_value_entropy_constant(self):
         assert value_entropy(np.full(100, 7.5)) == 0.0

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from repro.core.floatmap import (
     from_ordered,
     from_words,
+    lag_diff,
+    lag_sum,
     to_ordered,
     to_words,
     unzigzag,
-    width_bits,
     zigzag,
 )
 
@@ -27,10 +28,6 @@ class TestWords:
     def test_roundtrip_bit_exact(self, arr):
         back = from_words(to_words(arr), arr.dtype)
         np.testing.assert_array_equal(back.view(np.uint8), arr.view(np.uint8))
-
-    def test_width(self):
-        assert width_bits(np.float32) == 32
-        assert width_bits(np.float64) == 64
 
     def test_word_dtype(self):
         assert to_words(SPECIALS32).dtype == np.uint32
@@ -77,3 +74,29 @@ class TestZigzag:
     def test_roundtrip32(self, xs):
         x = np.array(xs, dtype=np.int32)
         np.testing.assert_array_equal(unzigzag(zigzag(x, 32), 32), x)
+
+
+class TestLagDifference:
+    """The LNV residual of SPDP/MPC and the Lorenzo residual of fpzip/ndzip."""
+
+    @pytest.mark.parametrize(
+        "dtype, shape, lag, axes",
+        [
+            (np.uint8, (1000,), 1, (0,)),  # SPDP LNVs1
+            (np.uint8, (1000,), 2, (0,)),  # SPDP LNVs2
+            (np.uint32, (5, 1024), 6, (-1,)),  # MPC LNV6s, per chunk
+            (np.uint64, (9, 10, 11), 1, (0, 1, 2)),  # fpzip Lorenzo
+            (np.uint64, (4, 16, 16), 1, (1, 2)),  # ndzip Lorenzo within blocks
+        ],
+        ids=["spdp-lag1", "spdp-lag2", "mpc-lag6", "fpzip-all-axes", "ndzip-axes-1.."],
+    )
+    def test_roundtrip(self, dtype, shape, lag, axes):
+        g = np.random.default_rng(3)
+        a = g.integers(0, np.iinfo(dtype).max, shape, dtype=dtype, endpoint=True)
+        r = lag_diff(a, lag, axes)
+        assert r.dtype == a.dtype
+        np.testing.assert_array_equal(lag_sum(r, lag, axes), a)
+
+    def test_lag2_residual(self):
+        a = np.array([5, 7, 4, 10, 3], dtype=np.uint8)
+        assert lag_diff(a, 2, (0,)).tolist() == [5, 7, 255, 3, 255]

@@ -1,6 +1,11 @@
 """Registry metadata must reproduce Table 1 of the paper."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro.codecs
 
 from repro.codecs.base import (
     GPU_METHODS,
@@ -67,3 +72,17 @@ def test_predictor_groups_cover_fig6b():
 def test_load_codec_returns_fresh_instances():
     a, b = load_codec("Gorilla"), load_codec("Gorilla")
     assert a is not b
+
+
+def test_codecs_import_no_private_names():
+    """Shared codec parts live behind public names, not in another codec's privates."""
+    offenders = []
+    for path in sorted(Path(repro.codecs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                offenders += [
+                    f"{path.name}: {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offenders == []
