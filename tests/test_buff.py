@@ -109,6 +109,11 @@ class TestEncodedQueries:
         )
         np.testing.assert_array_equal(self.codec.query_le(self.blob, 50.0), self.x <= 50.0)
 
+    def test_query_on_empty_blob(self):
+        blob = self.codec.compress(np.zeros(0))
+        assert self.codec.query_eq(blob, 1.0).size == 0
+        assert self.codec.query_le(blob, 1.0).size == 0
+
     def test_query_on_raw_mode(self):
         g = np.random.default_rng(6)
         x = g.random(500)
