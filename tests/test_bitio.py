@@ -26,6 +26,13 @@ class TestBitLength:
     def test_matches_python(self, v):
         assert bit_length_u64(np.array([v], dtype=np.uint64))[0] == v.bit_length()
 
+    @pytest.mark.parametrize(
+        "v", [0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**63, 2**64 - 1],
+        ids=["0", "1", "2^32-1", "2^32", "2^53+1", "2^63", "2^64-1"],
+    )
+    def test_half_word_edges(self, v):
+        assert bit_length_u64(np.array([v], dtype=np.uint64))[0] == v.bit_length()
+
     def test_vectorized_random(self):
         g = np.random.default_rng(0)
         vals = g.integers(0, 2**63, 1000, dtype=np.uint64)
@@ -101,6 +108,38 @@ class TestPackUnpackBits:
     def test_truncated_raises(self):
         with pytest.raises(ValueError):
             unpack_bits(b"\x00", np.array([16]))
+
+    def test_zero_width_fields_emit_nothing(self):
+        vals = np.array([0b101, 2**64 - 1, 0b11, 7], np.uint64)
+        nbits = np.array([3, 0, 2, 0])
+        buf = pack_bits(vals, nbits)
+        assert buf == pack_bits(np.array([0b101, 0b11], np.uint64), np.array([3, 2]))
+        assert unpack_bits(buf, nbits).tolist() == [0b101, 0, 0b11, 0]
+
+    def test_only_zero_widths(self):
+        nbits = np.zeros(5, np.int64)
+        assert pack_bits(np.arange(5, dtype=np.uint64), nbits) == b""
+        assert unpack_bits(b"", nbits).tolist() == [0] * 5
+
+    @pytest.mark.parametrize("lead", [1, 17, 63])
+    def test_fields_straddle_words(self, lead):
+        # a lead-bit field, then 64- and 37-bit fields that cross 64-bit
+        # word boundaries at every offset the lead puts them on
+        vals = np.array([1, 0xDEADBEEFCAFEF00D, 2**64 - 1, 0x1ABCDEF012, 0], np.uint64)
+        nbits = np.array([lead, 64, 64, 37, 64])
+        buf = pack_bits(vals, nbits)
+        bits = "1".rjust(lead, "0") + "".join(
+            format(int(v) & ((1 << int(n)) - 1), f"0{int(n)}b") for v, n in zip(vals[1:], nbits[1:])
+        )
+        bits += "0" * (-len(bits) % 8)
+        assert buf == int(bits, 2).to_bytes(len(bits) // 8, "big")
+        np.testing.assert_array_equal(unpack_bits(buf, nbits), vals)
+
+    def test_64bit_fields_with_zero_widths_between(self):
+        vals = np.array([2**63 + 1, 9, 2**64 - 2, 5, 3], np.uint64)
+        nbits = np.array([64, 0, 64, 0, 3])
+        out = unpack_bits(pack_bits(vals, nbits), nbits)
+        assert out.tolist() == [2**63 + 1, 0, 2**64 - 2, 0, 3]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 64)), max_size=50))

@@ -34,6 +34,44 @@ def _specials(g: np.random.Generator) -> np.ndarray:
     return x
 
 
+def _window_edge(g: np.random.Generator) -> np.ndarray:
+    """Recurrences at distance 127 (inside Chimp's window) and 128 (just out).
+
+    The third copy of ``a`` flips one high bit, so its XOR with the value
+    127 back has many trailing zeros; a long constant run follows.
+    """
+    a = g.random(127)
+    b = g.random(128)
+    a_flip = (a.view(np.uint64) ^ np.uint64(1 << 40)).view(np.float64)
+    return np.concatenate([a, a, a_flip, b, b, np.full(700, 2.5), g.random(40)])
+
+
+def _centre_64(g: np.random.Generator) -> np.ndarray:
+    """Gorilla XORs of 0x8000000000000001: 64 meaningful bits, stored as 0."""
+    pair = np.array([1.0000000000000002, -1.0])
+    return np.concatenate([np.tile(pair, 200), g.random(100)])
+
+
+def _fib_skew(g: np.random.Generator) -> np.ndarray:
+    """fpzip residual bit lengths with Fibonacci counts 1, 1, 2, …, 10946,
+    so its Huffman table holds codes of 20 bits.
+
+    Lengths 0..19 take counts F21..F2; the first value, coded raw, is the
+    last count of 1. The doubles stay positive, so their order-preserving
+    codes differ by exactly the chosen residuals.
+    """
+    fib = [1, 1]
+    while len(fib) < 21:
+        fib.append(fib[-1] + fib[-2])
+    lengths = np.repeat(np.arange(20), fib[:0:-1])
+    g.shuffle(lengths)
+    low = np.where(lengths > 0, np.int64(1) << np.maximum(lengths - 1, 0), 0)
+    zz = low + (g.integers(0, 1 << 62, lengths.size) & np.maximum(low - 1, 0))
+    residual = (zz >> 1) ^ -(zz & 1)
+    start = np.array([1.5]).view(np.int64)[0]
+    return (start + np.cumsum(np.concatenate([[0], residual]))).view(np.float64)
+
+
 def _inputs() -> dict[str, tuple[np.ndarray, tuple[int, ...] | None]]:
     g = np.random.default_rng(20240417)
     walk = np.cumsum(g.normal(size=3000)) / 7.0
@@ -61,6 +99,9 @@ def _inputs() -> dict[str, tuple[np.ndarray, tuple[int, ...] | None]]:
         "grid-130x70-f64": (grid2, grid2.shape),
         "grid-20x18x17-f32": (grid3, grid3.shape),
     }
+    cases["chimp-window-127-128"] = (_window_edge(np.random.default_rng(127)), None)
+    cases["gorilla-centre-64"] = (_centre_64(np.random.default_rng(64)), None)
+    cases["fpzip-fib-skew"] = (_fib_skew(np.random.default_rng(20)), None)
     for spec in corpus():
         arr = generate(spec, 0.05)
         cases[f"corpus/{spec.name}"] = (arr, arr.shape if arr.ndim > 1 else None)
