@@ -20,7 +20,9 @@ Workflow reproduced from Lindstrom & Isenburg 2006:
 Like fpzip, the predictor quality depends on being given the correct
 dimensionality (§3.1 Insights) — compressing a 3-D grid as 1-D degrades
 the Lorenzo predictor to a plain delta, which Table 9 measures. Serial
-in the original; entropy-decode is the only sequential loop here.
+in the original; here the only sequential loop is the entropy decode's
+walk from one symbol start to the next over a table that decodes every
+bit offset at once.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
 from repro.codecs.huffman import Huffman
-from repro.core.bitio import BitReader, bit_length_u64, pack_bits, unpack_bits
+from repro.core.bitio import bit_length_u64, pack_bits, unpack_bits
 from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
 
@@ -69,8 +71,10 @@ class FpzipLike(Codec):
         width = wdt.itemsize * 8
         tlen = int.from_bytes(payload[:2], "little")
         hlen = int.from_bytes(payload[2:10], "little")
+        if len(payload) < 10 or 10 + tlen + hlen > len(payload):
+            raise ValueError("fpzip stream truncated")
         huff, _ = Huffman.deserialize(payload[10 : 10 + tlen])
-        sym = huff.decode(BitReader(payload[10 + tlen : 10 + tlen + hlen]), count)
+        sym = huff.decode(payload[10 + tlen : 10 + tlen + hlen], count)
         rem_bits = np.maximum(sym - 1, 0)
         rem = unpack_bits(payload[10 + tlen + hlen :], rem_bits)
         top = np.where(

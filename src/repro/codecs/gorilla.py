@@ -16,16 +16,18 @@ Per value, XOR with the previous value, then:
 
 Compression precomputes XOR/LZ/TZ vectorized, walks the control-bit state
 machine in a Python loop (the window carries sequential state), and packs
-all emitted fields in one vectorized ``pack_bits``. Decode is the
-sequential BitReader walk the format requires. Gorilla is serial in the
-original too — this is the class of method the paper finds slowest.
+all emitted fields in one vectorized ``pack_bits``. Decode walks only the
+record headers in Python, to find where each record starts; vectorized
+reads then extract every field and an XOR prefix scan rebuilds the
+values. Gorilla is serial in the original too — this is the class of
+method the paper finds slowest.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import BitReader, leading_zeros, pack_bits, trailing_zeros
+from repro.core.bitio import leading_zeros, pack_bits, read_bits_at, trailing_zeros
 
 _MAX_LZ = 31  # 5-bit leading-zero field
 
@@ -80,27 +82,48 @@ class Gorilla(Codec):
 
     def _decode(self, payload, wdt, count, dims):
         width = wdt.itemsize * 8
-        r = BitReader(payload)
-        out = np.empty(count, dtype=np.uint64)
-        prev = r.read(width)
-        out[0] = prev
-        prev_lz = prev_tz = 0
-        read = r.read
+        total = len(payload) * 8
+        if width + count - 1 > total:  # every record is at least one bit
+            raise ValueError(f"count {count} exceeds what {len(payload)} Gorilla bytes hold")
+        # parse only: find where each record starts from the 13 header bits
+        # there (read through a 32-bit window) and the stored window width
+        buf = bytes(payload) + bytes(4)
+        from_bytes = int.from_bytes
+        starts = [0] * count
+        pos = width
+        mlen = width
         for i in range(1, count):
-            if read(1) == 0:
-                out[i] = prev
-                continue
-            if read(1) == 0:  # reuse previous window
-                mlen = width - prev_lz - prev_tz
-                x = read(mlen) << prev_tz
-            else:
-                lz = read(5)
-                mlen = read(6)
-                if mlen == 0:  # 64 is stored as 0 (6-bit field); mlen >= 1 always
-                    mlen = 64
-                tz = width - lz - mlen
-                x = read(mlen) << tz
-                prev_lz, prev_tz = lz, tz
-            prev ^= x
-            out[i] = prev
-        return out
+            starts[i] = pos
+            head = from_bytes(buf[pos >> 3 : (pos >> 3) + 4], "big") >> (19 - (pos & 7)) & 0x1FFF
+            if head < 0x1000:  # 0: the value repeats
+                pos += 1
+            elif head < 0x1800:  # 10: the stored window
+                pos += 2 + mlen
+            else:  # 11 | lz:5 | mlen:6 (64 stored as 0), a new window
+                mlen = head & 63 or 64
+                pos += 13 + mlen
+        if pos > total:
+            raise ValueError("Gorilla stream truncated")
+        return _values(payload, width, np.array(starts))
+
+
+def _values(payload: bytes, width: int, starts: np.ndarray) -> np.ndarray:
+    """Rebuild the values from the record start bits found by the parse."""
+    u = np.uint64
+    head = read_bits_at(payload, starts, 13).astype(np.int64)
+    new_window = head >= 0x1800
+    new_window[0] = False
+    lz = head >> 6 & _MAX_LZ
+    mlen = np.where(head & 63, head & 63, 64)
+    # every 10 record uses the window of the latest 11 record (or the
+    # initial full-width one)
+    latest = np.maximum.accumulate(np.where(new_window, np.arange(starts.size), 0))
+    tz = np.where(new_window, width - lz - mlen, 0)[latest]
+    mlen = np.where(new_window, mlen, width)[latest]
+    if (tz < 0).any():
+        raise ValueError("corrupt Gorilla stream: window wider than the word")
+    meaningful = head >= 0x1000
+    x = read_bits_at(payload, starts + np.where(new_window, 13, 2), np.where(meaningful, mlen, 0))
+    x = x << tz.astype(u)
+    x[0] = read_bits_at(payload, np.zeros(1, np.int64), width)[0]
+    return np.bitwise_xor.accumulate(x)

@@ -3,8 +3,11 @@
 Substitutes the fast range coder used by fpzip (DESIGN.md substitution #7):
 for the ≤65-symbol residual-length alphabets involved, Huffman is within a
 few percent of arithmetic coding's ratio while keeping encode fully
-vectorized (table lookup + ``pack_bits``). Decode is a per-symbol canonical
-walk over a :class:`~repro.core.bitio.BitReader`.
+vectorized (table lookup + ``pack_bits``). Decode is table-driven, the
+trick GPU Huffman decoders use (Weißenberger & Schmidt, ICPP 2018): it
+decodes one symbol and its length at *every* bit offset at once, then a
+Python walk follows the lengths from offset 0 to find the real symbol
+starts.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.core.bitio import BitReader, pack_bits
+from repro.core.bitio import pack_bits, read_bits_at
 
 
 def code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -46,25 +49,21 @@ class Huffman:
 
     def __init__(self, lengths: np.ndarray) -> None:
         self.lengths = np.asarray(lengths, dtype=np.uint8)
+        used = [int(L) for L in self.lengths if L]
+        # Kraft: the codes must fit, or canonical assignment overflows
+        if used and (max(used) > 64 or sum(1 << (64 - L) for L in used) > 1 << 64):
+            raise ValueError("invalid Huffman code lengths")
         order = np.lexsort((np.arange(self.lengths.size), self.lengths))
         order = order[self.lengths[order] > 0]
         self.sorted_syms = order
         self.codes = np.zeros(self.lengths.size, dtype=np.uint64)
         # canonical assignment: increasing (length, symbol)
-        self.first_code: dict[int, int] = {}
-        self.first_idx: dict[int, int] = {}
-        self.counts: dict[int, int] = {}
         code = 0
         prev_len = 0
-        for idx, s in enumerate(order):
+        for s in order:
             L = int(self.lengths[s])
             code <<= L - prev_len
-            if L not in self.first_code:
-                self.first_code[L] = code
-                self.first_idx[L] = idx
-                self.counts[L] = 0
             self.codes[s] = code
-            self.counts[L] += 1
             code += 1
             prev_len = L
 
@@ -80,30 +79,51 @@ class Huffman:
     def encoded_bits(self, symbols: np.ndarray) -> int:
         return int(self.lengths[np.asarray(symbols, dtype=np.int64)].sum())
 
-    def decode(self, reader: BitReader, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        first_code, first_idx, counts = self.first_code, self.first_idx, self.counts
-        syms = self.sorted_syms
-        read = reader.read
+    def decode(self, buf: bytes, n: int) -> np.ndarray:
+        """The first ``n`` symbols of the bitstream ``buf``.
+
+        Raises ``ValueError`` if ``buf`` cannot hold ``n`` symbols, if the
+        table is empty, and if the walk meets a bit pattern that no code
+        matches or runs past ``buf``.
+        """
+        total = len(buf) * 8
+        if n > total:  # every code is at least one bit
+            raise ValueError(f"{n} symbols exceed {total} Huffman bits")
+        if self.sorted_syms.size == 0:
+            raise ValueError("empty Huffman table")
+        # Canonical codes, left-justified to the longest length, increase
+        # with their canonical index, and code j owns the window range
+        # [first[j], first[j] + 2**shift[j]). One search per bit offset
+        # finds the code that each offset's window starts with.
+        lengths = self.lengths[self.sorted_syms].astype(np.int64)
+        maxlen = int(lengths[-1])
+        shift = (maxlen - lengths).astype(np.uint64)
+        first = self.codes[self.sorted_syms] << shift
+        offsets = np.arange(total)
+        window = read_bits_at(buf, offsets, maxlen)
+        index = np.searchsorted(first, window, side="right") - 1  # first[0] == 0
+        # past the last code's range (an incomplete table) is no code
+        hit = (window - first[index]) >> shift[index] == 0
+        # offset -> next symbol's offset; total + 1 marks no match or a
+        # code running past the end, and absorbs the walk
+        nxt = np.where(hit, np.minimum(offsets + lengths[index], total + 1), total + 1)
+        nxt = nxt.tolist() + [total + 1, total + 1]
+        starts = [0] * n
+        p = 0
         for i in range(n):
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | read(1)
-                length += 1
-                fc = first_code.get(length)
-                if fc is not None and code - fc < counts[length]:
-                    out[i] = syms[first_idx[length] + (code - fc)]
-                    break
-                if length > 64:
-                    raise ValueError("corrupt Huffman stream")
-        return out
+            starts[i] = p
+            p = nxt[p]
+        if p > total:
+            raise ValueError("corrupt Huffman stream")
+        return self.sorted_syms[index[starts]]
 
     def serialize(self) -> bytes:
         return bytes([self.lengths.size]) + self.lengths.tobytes()
 
     @classmethod
     def deserialize(cls, buf: bytes, off: int = 0) -> tuple["Huffman", int]:
+        if off >= len(buf):
+            raise ValueError("Huffman table truncated")
         size = buf[off]
         lengths = np.frombuffer(buf, dtype=np.uint8, count=size, offset=off + 1)
         return cls(lengths), off + 1 + size

@@ -118,11 +118,12 @@ def lz_decompress(blob: bytes) -> bytes:
                 if b < 255:
                     break
         start = len(out) - off
-        if off >= ml:
-            out += out[start : start + ml]
-        else:  # overlapping copy replicates the window, byte at a time
-            for k in range(ml):
-                out.append(out[start + k])
+        # an overlapping copy repeats the last ``off`` bytes: copy all that
+        # lies past ``start``, doubling each pass, until ``ml`` bytes are in
+        while ml > 0:
+            k = min(ml, len(out) - start)
+            out += out[start : start + k]
+            ml -= k
     return bytes(out)
 
 

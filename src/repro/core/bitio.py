@@ -4,11 +4,10 @@ Conventions
 -----------
 * Bitstreams are MSB-first: the first bit written is the most significant
   bit of the first byte. ``np.packbits``/``np.unpackbits`` use the same
-  convention, which keeps the vectorized and sequential paths compatible.
-* ``pack_bits``/``unpack_bits`` are fully vectorized (used by codecs whose
-  per-value bit widths are known up front). ``BitReader`` is the sequential
-  fallback for formats whose widths are only discovered during decode
-  (Gorilla, Chimp, Huffman).
+  convention.
+* ``pack_bits``/``unpack_bits`` are fully vectorized. Formats whose widths
+  are only discovered during decode (Gorilla, Chimp, Huffman) first find
+  where every field starts, then extract them all with ``read_bits_at``.
 * Values are carried as ``uint64`` regardless of the source precision.
 """
 from __future__ import annotations
@@ -23,18 +22,14 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 def bit_length_u64(x: np.ndarray) -> np.ndarray:
     """Per-element bit length of a uint64 array (0 for 0), exact for all 64 bits.
 
-    Uses a 6-step binary search instead of float tricks, which silently
-    misreport lengths for integers above 2**53.
+    ``np.frexp`` on each 32-bit half: a half is below 2**32, so its float64
+    conversion is exact (a float of the whole word would round above 2**53).
     """
-    v = np.ascontiguousarray(x, dtype=_U64).copy()
-    n = np.zeros(v.shape, dtype=np.uint8)
-    for shift in (32, 16, 8, 4, 2, 1):
-        s = _U64(shift)
-        ge = v >= (_ONE << s)
-        n[ge] += shift
-        v[ge] >>= s
-    n[np.asarray(x, dtype=_U64) > 0] += 1
-    return n
+    v = np.asarray(x, dtype=_U64)
+    hi = (v >> _U64(32)).astype(np.float64)
+    lo = (v & _U64(0xFFFFFFFF)).astype(np.float64)
+    n = np.where(hi > 0, np.frexp(hi)[1] + 32, np.frexp(lo)[1])
+    return n.astype(np.uint8)
 
 
 def leading_zeros(x: np.ndarray, width: int) -> np.ndarray:
@@ -63,33 +58,52 @@ def pack_bits(vals: np.ndarray, nbits: np.ndarray) -> bytes:
     """Concatenate, MSB-first, the low ``nbits[i]`` bits of each ``vals[i]``.
 
     The result is zero-padded to a whole number of bytes. Bits of ``vals``
-    above ``nbits`` are ignored. Vectorized by grouping values of equal
-    width (≤65 distinct widths) and scattering their dense (k, w) bit
-    matrices into the output bit array — O(total bits) work with no
-    64-wide masked intermediates.
+    above ``nbits`` are ignored. Each field lands in at most two big-endian
+    64-bit words: its part in the word it starts in is summed per word
+    (fields never overlap, so the sum is their OR) and the part that
+    crosses into the next word is added there.
     """
     vals = np.ascontiguousarray(vals, dtype=_U64)
     nb = np.ascontiguousarray(nbits, dtype=np.int64)
     if vals.size == 0:
         return b""
     ends = np.cumsum(nb)
+    total = int(ends[-1])
     starts = ends - nb
-    total = int(ends[-1]) if ends.size else 0
-    out = np.zeros(total, dtype=np.uint8)
-    chunk = 1 << 18  # bound per-group intermediates to ~tens of MB
-    for w in np.unique(nb):
-        w = int(w)
-        if w == 0:
-            continue
-        idx = np.flatnonzero(nb == w)
-        shifts = np.arange(w - 1, -1, -1, dtype=_U64)
-        offs = np.arange(w, dtype=np.int64)
-        for s in range(0, idx.size, chunk // max(w, 1) + 1):
-            ii = idx[s : s + chunk // max(w, 1) + 1]
-            bits = ((vals[ii][:, None] >> shifts[None, :]) & _ONE).astype(np.uint8)
-            pos = starts[ii][:, None] + offs[None, :]
-            out[pos.reshape(-1)] = bits.reshape(-1)
-    return np.packbits(out).tobytes()
+    word = starts >> 6
+    # bits left free in the start word after the field; negative = spill
+    room = 64 - (starts & 63) - nb
+    v = vals & _mask(nb)
+    fits = room >= 0
+    head = np.where(fits, v << room.clip(0).astype(_U64), v >> (-room).clip(0).astype(_U64))
+    words = np.zeros((total + 63) // 64 + 1, dtype=_U64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] = np.add.reduceat(head, first)
+    spill = np.flatnonzero(~fits)
+    words[word[spill] + 1] += v[spill] << (64 + room[spill]).astype(_U64)
+    return words.astype(">u8").tobytes()[: (total + 7) // 8]
+
+
+def read_bits_at(buf: bytes, starts: np.ndarray, nbits) -> np.ndarray:
+    """The ``nbits``-bit fields (0..64 each) that begin at bit ``starts``.
+
+    Bits past the end of ``buf`` read as zero; callers check bounds. The
+    buffer is read as big-endian 64-bit words, as :func:`pack_bits` wrote
+    it, so each field is two word gathers and a funnel shift.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    nb = np.asarray(nbits, dtype=_U64)
+    padded = np.zeros((len(buf) + 7) // 8 * 8 + 16, dtype=np.uint8)
+    padded[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+    words = padded.view(">u8").astype(_U64)
+    word = starts >> 6
+    off = (starts & 63).astype(_U64)
+    # the 64 bits from the start bit; the second word's shift is split in
+    # two so that it never reaches 64
+    aligned = (words[word] << off) | ((words[word + 1] >> _ONE) >> (_U64(63) - off))
+    with np.errstate(all="ignore"):
+        res = aligned >> (_U64(64) - nb)  # undefined for nb==0
+    return np.where(nb == 0, _U64(0), res)
 
 
 def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray:
@@ -101,23 +115,9 @@ def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray
     if nb.size == 0:
         return np.zeros(0, dtype=_U64)
     ends = start_bit + np.cumsum(nb)
-    starts = ends - nb
     if int(ends[-1]) > len(buf) * 8:
         raise ValueError("bitstream truncated")
-    b = np.frombuffer(buf, dtype=np.uint8)
-    bp = np.concatenate([b, np.zeros(16, dtype=np.uint8)])
-    byte_off = (starts >> 3).astype(np.int64)
-    bit_off = (starts & 7).astype(_U64)
-    window = bp[byte_off[:, None] + np.arange(9)].astype(_U64)
-    hi = np.zeros(nb.size, dtype=_U64)
-    for k in range(8):
-        hi |= window[:, k] << _U64(56 - 8 * k)
-    lo = window[:, 8]
-    # 72-bit window starting at the byte boundary; align to the start bit.
-    win = (hi << bit_off) | (lo >> (_U64(8) - bit_off))
-    with np.errstate(all="ignore"):
-        res = win >> (_U64(64) - nb.astype(_U64))  # undefined for nb==0
-    return np.where(nb == 0, _U64(0), res)
+    return read_bits_at(buf, ends - nb, nb)
 
 
 def pack_bytes(vals: np.ndarray, nbytes: np.ndarray) -> bytes:
@@ -161,43 +161,6 @@ def unpack_bytes(buf: bytes, nbytes: np.ndarray, start_byte: int = 0) -> np.ndar
     with np.errstate(all="ignore"):
         res = acc >> ((_U64(8) - nb.astype(_U64)) * _U64(8))
     return np.where(nb == 0, _U64(0), res)
-
-
-class BitReader:
-    """Sequential MSB-first bit reader over a bytes buffer.
-
-    Each read slices only the bytes it needs, so cost is O(bits read), not
-    O(buffer) — fast enough for per-value decode loops (Gorilla/Chimp).
-    """
-
-    def __init__(self, buf: bytes, start_bit: int = 0) -> None:
-        self.buf = bytes(buf)
-        self.pos = start_bit
-
-    def read(self, n: int) -> int:
-        if n == 0:
-            return 0
-        pos, end = self.pos, self.pos + n
-        b0, b1 = pos >> 3, (end + 7) >> 3
-        if b1 > len(self.buf):
-            raise ValueError("bitstream truncated")
-        v = int.from_bytes(self.buf[b0:b1], "big")
-        v >>= b1 * 8 - end
-        self.pos = end
-        return v & ((1 << n) - 1)
-
-    def peek(self, n: int) -> int:
-        """Read up to ``n`` bits without advancing; zero-pads past the end."""
-        pos, end = self.pos, self.pos + n
-        b0, b1 = pos >> 3, (end + 7) >> 3
-        chunk = self.buf[b0 : min(b1, len(self.buf))]
-        chunk = chunk + b"\x00" * (b1 - b0 - len(chunk))
-        v = int.from_bytes(chunk, "big")
-        v >>= b1 * 8 - end
-        return v & ((1 << n) - 1)
-
-    def remaining(self) -> int:
-        return len(self.buf) * 8 - self.pos
 
 
 def bitshuffle_bits(raw: np.ndarray, elem_bits: int) -> np.ndarray:

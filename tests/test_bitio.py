@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitio import (
-    BitReader,
     bit_length_u64,
     bitshuffle_bits,
     bitunshuffle_bits,
@@ -170,43 +169,6 @@ class TestPackUnpackBytes:
     def test_start_byte(self):
         buf = b"\xff" + pack_bytes(np.array([0xAB], np.uint64), np.array([1]))
         assert unpack_bytes(buf, np.array([1]), start_byte=1)[0] == 0xAB
-
-
-class TestBitReader:
-    def test_sequential_matches_pack(self):
-        g = np.random.default_rng(4)
-        nbits = g.integers(1, 64, 200)
-        vals = g.integers(0, 2**63, 200, dtype=np.uint64)
-        mask = (np.uint64(1) << nbits.astype(np.uint64)) - np.uint64(1)
-        expect = (vals & mask).tolist()
-        r = BitReader(pack_bits(vals, nbits))
-        got = [r.read(int(n)) for n in nbits]
-        assert got == expect
-
-    def test_read_zero(self):
-        r = BitReader(b"\xff")
-        assert r.read(0) == 0
-        assert r.pos == 0
-
-    def test_peek_does_not_advance(self):
-        r = BitReader(bytes([0b10110000]))
-        assert r.peek(3) == 0b101
-        assert r.pos == 0
-        assert r.read(3) == 0b101
-
-    def test_peek_past_end_zero_pads(self):
-        r = BitReader(bytes([0b10000000]))
-        assert r.peek(16) == 0b1000000000000000
-
-    def test_truncated_read_raises(self):
-        r = BitReader(b"\x00")
-        with pytest.raises(ValueError):
-            r.read(9)
-
-    def test_remaining(self):
-        r = BitReader(b"\x00\x00")
-        r.read(5)
-        assert r.remaining() == 11
 
 
 class TestBitShuffleBits:

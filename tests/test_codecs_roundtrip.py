@@ -162,3 +162,41 @@ def test_malformed_envelope_raises_value_error(name):
     for kind, data in bad.items():
         with pytest.raises(ValueError):
             codec.decompress(data)
+
+
+def _blob(count: int, payload: bytes) -> bytes:
+    """A float64 1-D envelope around a hand-built payload."""
+    return b"\xfc\x01\x00" + count.to_bytes(8, "little") + payload
+
+
+def _bits(s: str) -> bytes:
+    s += "0" * (-len(s) % 8)
+    return int(s, 2).to_bytes(len(s) // 8, "big")
+
+
+# A record no encoder writes: Chimp ``10`` before any stored leading-zero
+# count; Gorilla ``11`` with lz 31 + 63 meaningful bits > 64; an fpzip
+# Huffman table with codes 00 and 01 only, so the fourth symbol's ``11``
+# matches none (stream 00 01 00 11).
+_BAD_RECORD = {
+    "Chimp": _blob(2, _bits("0" * 64 + "10" + "0" * 70)),
+    "Gorilla": _blob(2, _bits("0" * 64 + "11" + "11111" + "111111" + "1" * 63)),
+    "fpzip": _blob(
+        4, (3).to_bytes(2, "little") + (1).to_bytes(8, "little") + bytes([2, 2, 2]) + _bits("00010011")
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["forged-count", "half-truncated", "bad-record"])
+@pytest.mark.parametrize("name", sorted(_BAD_RECORD))
+def test_corrupt_bit_stream_raises_value_error(name, kind):
+    codec = load_codec(name)
+    walk = np.cumsum(np.random.default_rng(11).normal(size=4096))
+    blob = codec.compress(walk)
+    bad = {
+        "forged-count": blob[:3] + (2**40).to_bytes(8, "little") + blob[11:],
+        "half-truncated": blob[: len(blob) // 2],
+        "bad-record": _BAD_RECORD[name],
+    }[kind]
+    with pytest.raises(ValueError):
+        codec.decompress(bad)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.huffman import Huffman, code_lengths
-from repro.core.bitio import BitReader
 
 
 class TestCodeLengths:
@@ -37,7 +36,7 @@ class TestHuffmanRoundtrip:
         h = Huffman.from_symbols(symbols, alphabet)
         buf = h.encode(symbols)
         h2, _ = Huffman.deserialize(h.serialize())
-        out = h2.decode(BitReader(buf), len(symbols))
+        out = h2.decode(buf, len(symbols))
         np.testing.assert_array_equal(out, symbols)
         return buf
 
@@ -70,3 +69,28 @@ class TestHuffmanRoundtrip:
         syms = g.integers(0, 5, 777)
         h = Huffman.from_symbols(syms, 5)
         assert (h.encoded_bits(syms) + 7) // 8 == len(h.encode(syms))
+
+
+class TestHuffmanRejects:
+    def test_over_full_lengths(self):
+        with pytest.raises(ValueError):
+            Huffman(np.array([1, 1, 1]))
+
+    def test_length_over_64(self):
+        with pytest.raises(ValueError):
+            Huffman(np.array([1, 65]))
+
+    def test_empty_table_buffer(self):
+        with pytest.raises(ValueError):
+            Huffman.deserialize(b"")
+
+    def test_more_symbols_than_bits(self):
+        with pytest.raises(ValueError):
+            Huffman(np.array([1, 1])).decode(b"\x00", 9)
+
+    def test_code_running_past_the_end(self):
+        # codes 0, 10, 11: the last byte ends inside a two-bit code
+        h = Huffman(np.array([1, 2, 2]))
+        assert h.decode(b"\x00", 8).tolist() == [0] * 8
+        with pytest.raises(ValueError):
+            h.decode(b"\x01", 8)

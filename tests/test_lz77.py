@@ -25,6 +25,26 @@ class TestRoundtrip:
     def test_fixed_cases(self, data):
         assert lz_decompress(lz_compress(data)) == data
 
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_long_overlapping_matches(self, period):
+        data = bytes(range(7, 7 + period)) * (3000 // period) + b"tail" * 300
+        blob = lz_compress(data)
+        assert len(blob) < 100  # one long match at offset ``period``
+        assert lz_decompress(blob) == data
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_decodes_hand_built_overlap(self, period):
+        # literals, then a 1000+ byte match at offset ``period``
+        lit = b"xyz"[:period]
+        ml = 1234
+        ext = ml - 4 - 15
+        token = bytes([(period << 4) | 15])
+        blob = (
+            token + lit + period.to_bytes(2, "little")
+            + b"\xff" * (ext // 255) + bytes([ext % 255]) + b"\x10!"
+        )
+        assert lz_decompress(blob) == (lit * 2000)[: period + ml] + b"!"
+
     def test_random_incompressible(self):
         g = np.random.default_rng(0)
         data = g.integers(0, 256, 100_000, dtype=np.uint8).tobytes()
