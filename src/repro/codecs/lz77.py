@@ -118,12 +118,13 @@ def lz_decompress(blob: bytes) -> bytes:
                 if b < 255:
                     break
         start = len(out) - off
-        # an overlapping copy repeats the last ``off`` bytes: copy all that
-        # lies past ``start``, doubling each pass, until ``ml`` bytes are in
-        while ml > 0:
-            k = min(ml, len(out) - start)
-            out += out[start : start + k]
-            ml -= k
+        # an overlapping copy repeats the last ``off`` bytes: append all
+        # that lies past ``start``, doubling it, until the rest fits
+        while ml > off:
+            out += out[start:]
+            ml -= off
+            off *= 2
+        out += out[start : start + ml]
     return bytes(out)
 
 
