@@ -65,7 +65,7 @@ class Chimp(Codec):
         last_same[order[1:][same]] = order[:-1][same]
         in_window = (last_same >= 0) & (i - last_same < _PREV)
         cand = np.where(in_window, last_same, i - 1)
-        x = w ^ w[cand]  # for value 0 this is garbage, overwritten below
+        x = w ^ w[cand]  # value 0's fields are garbage, set raw below
         tz = np.where(in_window, trailing_zeros(x, width), 0)
         x_prev = w ^ w[i - 1]
         center = (x != 0) & (tz > _THRESHOLD)
@@ -93,7 +93,7 @@ class Chimp(Codec):
             slot,  # 00 | index: the XOR with a window value is zero
         ).astype(u)
         head_bits = np.select([center, reuse, xor], [2 + _PREV_LOG + 3 + 6, 2, 2 + 3], 2 + _PREV_LOG)
-        body = np.where(center, x >> tz.clip(0).astype(u), np.where(xor, x_prev, u(0)))
+        body = np.where(center, x >> tz.astype(u), np.where(xor, x_prev, u(0)))
         body_bits = np.where(center, clen, np.where(xor, width - _LEAD_ROUND[xor_lead], 0))
         head[0], head_bits[0], body[0], body_bits[0] = w[0], width, 0, 0
         return pack_bits(
