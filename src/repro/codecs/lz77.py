@@ -117,6 +117,8 @@ def lz_decompress(blob: bytes) -> bytes:
                 ml += b
                 if b < 255:
                     break
+        if not 0 < off <= len(out):
+            raise ValueError(f"LZ77 match offset {off} outside the {len(out)} bytes decoded")
         start = len(out) - off
         # an overlapping copy repeats the last ``off`` bytes: append all
         # that lies past ``start``, doubling it, until the rest fits

@@ -45,6 +45,13 @@ class TestRoundtrip:
         )
         assert lz_decompress(blob) == (lit * 2000)[: period + ml] + b"!"
 
+    @pytest.mark.parametrize("off", [0, 4], ids=["zero", "past_output"])
+    def test_corrupt_offset_raises(self, off):
+        # three literals, then a 19-byte match at an impossible offset
+        blob = bytes([0x3F]) + b"abc" + off.to_bytes(2, "little") + b"\x00" + b"\x10!"
+        with pytest.raises(ValueError, match="offset"):
+            lz_decompress(blob)
+
     def test_random_incompressible(self):
         g = np.random.default_rng(0)
         data = g.integers(0, 256, 100_000, dtype=np.uint8).tobytes()
