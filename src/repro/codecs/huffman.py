@@ -5,9 +5,9 @@ for the ≤65-symbol residual-length alphabets involved, Huffman is within a
 few percent of arithmetic coding's ratio while keeping encode fully
 vectorized (table lookup + ``pack_bits``). Decode is table-driven, the
 trick GPU Huffman decoders use (Weißenberger & Schmidt, ICPP 2018): it
-decodes one symbol and its length at *every* bit offset at once, then a
-Python walk follows the lengths from offset 0 to find the real symbol
-starts.
+decodes one symbol and its length at *every* bit offset of a block at
+once, then a Python walk follows the lengths from offset 0 to find the
+real symbol starts. Fixed-size blocks keep the tables' memory constant.
 """
 from __future__ import annotations
 
@@ -17,6 +17,10 @@ from itertools import count
 import numpy as np
 
 from repro.core.bitio import pack_bits, read_bits_at
+
+#: Bit offsets decoded per table block; caps decode's scratch memory.
+_BLOCK_BITS = 1 << 16
+_NO_CODE = 1 << 62
 
 
 def code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -99,23 +103,38 @@ class Huffman:
         maxlen = int(lengths[-1])
         shift = (maxlen - lengths).astype(np.uint64)
         first = self.codes[self.sorted_syms] << shift
-        offsets = np.arange(total)
-        window = read_bits_at(buf, offsets, maxlen)
-        index = np.searchsorted(first, window, side="right") - 1  # first[0] == 0
-        # past the last code's range (an incomplete table) is no code
-        hit = (window - first[index]) >> shift[index] == 0
-        # offset -> next symbol's offset; total + 1 marks no match or a
-        # code running past the end, and absorbs the walk
-        nxt = np.where(hit, np.minimum(offsets + lengths[index], total + 1), total + 1)
-        nxt = nxt.tolist() + [total + 1, total + 1]
-        starts = [0] * n
-        p = 0
-        for i in range(n):
-            starts[i] = p
-            p = nxt[p]
-        if p > total:
+        out = []
+        got = 0
+        p = 0  # the next symbol's offset, relative to the block start
+        for lo in range(0, total, _BLOCK_BITS):
+            if got >= n:
+                break
+            hi = min(lo + _BLOCK_BITS, total)
+            offsets = np.arange(hi - lo)
+            window = read_bits_at(buf[lo >> 3 : (hi + maxlen + 7) >> 3], offsets, maxlen)
+            index = np.searchsorted(first, window, side="right") - 1  # first[0] == 0
+            # past the last code's range (an incomplete table) is no code
+            hit = (window - first[index]) >> shift[index] == 0
+            # offset -> next symbol's offset; _NO_CODE marks no match or a
+            # code running past the end, and stops the walk
+            ends = offsets + lengths[index]
+            nxt = np.where(hit & (ends <= total - lo), ends, _NO_CODE).tolist()
+            starts = []
+            m = hi - lo
+            while p < m:
+                starts.append(p)
+                p = nxt[p]
+            out.append(self.sorted_syms[index[starts]])
+            got += len(starts)
+            if p == _NO_CODE:
+                # only a symbol among the first n must decode
+                if got <= n:
+                    raise ValueError("corrupt Huffman stream")
+                break
+            p -= m
+        if got < n:
             raise ValueError("corrupt Huffman stream")
-        return self.sorted_syms[index[starts]]
+        return np.concatenate(out)[:n] if out else self.sorted_syms[:0]
 
     def serialize(self) -> bytes:
         return bytes([self.lengths.size]) + self.lengths.tobytes()

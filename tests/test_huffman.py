@@ -64,6 +64,18 @@ class TestHuffmanRoundtrip:
     def test_hypothesis(self, xs):
         self._roundtrip(np.array(xs), 31)
 
+    def test_long_codes_across_blocks(self):
+        # Fibonacci frequencies give codes up to 24 bits; the stream spans
+        # several decode blocks, so codes straddle the block edges
+        fib = [1, 1]
+        while len(fib) < 25:
+            fib.append(fib[-1] + fib[-2])
+        syms = np.repeat(np.arange(25), fib[::-1])
+        np.random.default_rng(4).shuffle(syms)
+        buf = self._roundtrip(syms, 25)
+        assert Huffman.from_symbols(syms, 25).lengths.max() == 24
+        assert len(buf) * 8 > 3 * 65536
+
     def test_encoded_bits_matches_stream(self):
         g = np.random.default_rng(3)
         syms = g.integers(0, 5, 777)
@@ -94,3 +106,11 @@ class TestHuffmanRejects:
         assert h.decode(b"\x00", 8).tolist() == [0] * 8
         with pytest.raises(ValueError):
             h.decode(b"\x01", 8)
+
+    def test_unmatched_code_in_a_later_block(self):
+        # codes 0 and 10 leave 11 unmatched; it follows 72000 zero symbols
+        h = Huffman(np.array([1, 2]))
+        buf = bytes(9000) + b"\xc0"
+        assert h.decode(buf, 72000).tolist() == [0] * 72000
+        with pytest.raises(ValueError, match="corrupt"):
+            h.decode(buf, 72001)
