@@ -158,7 +158,7 @@ def _values(payload: bytes, width: int, starts: np.ndarray) -> np.ndarray:
     body_bits = np.select([flag == 0b01, flag >= 0b10], [clen, xor_bits], 0)
     body_at = starts + np.select([flag == 0b01, flag == 0b10, flag == 0b11], [18, 2, 5], 0)
     x = read_bits_at(payload, body_at, body_bits) << tz.astype(np.uint64)
-    x[0] = read_bits_at(payload, np.zeros(1, np.int64), width)[0]
+    x[0] = int.from_bytes(payload[: width // 8], "big")
     ref[0] = n  # the root points at a zero sentinel
     return _xor_chain(x, ref)
 

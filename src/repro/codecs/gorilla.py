@@ -125,5 +125,5 @@ def _values(payload: bytes, width: int, starts: np.ndarray) -> np.ndarray:
     meaningful = head >= 0x1000
     x = read_bits_at(payload, starts + np.where(new_window, 13, 2), np.where(meaningful, mlen, 0))
     x = x << tz.astype(u)
-    x[0] = read_bits_at(payload, np.zeros(1, np.int64), width)[0]
+    x[0] = int.from_bytes(payload[: width // 8], "big")
     return np.bitwise_xor.accumulate(x)
