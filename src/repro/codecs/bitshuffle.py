@@ -51,6 +51,13 @@ class _BitshuffleBase(Codec):
         return np.frombuffer(unframe_chunks(payload, decompress), dtype=wdt, count=count)
 
 
+def _inflate(comp: bytes) -> bytes:
+    try:
+        return zlib.decompress(comp)
+    except zlib.error as e:  # decoders report a malformed blob as ValueError
+        raise ValueError(f"corrupt zstd block: {e}") from None
+
+
 @register
 class BitshuffleLZ4(_BitshuffleBase):
     info = MethodInfo(
@@ -68,4 +75,4 @@ class BitshuffleZstd(_BitshuffleBase):
         parallel="SIMD + threads", trait="transform + dict.", group="dictionary",
     )
     _backend_compress = staticmethod(partial(zlib.compress, level=9))
-    _backend_decompress = staticmethod(zlib.decompress)
+    _backend_decompress = staticmethod(_inflate)

@@ -177,13 +177,15 @@ def _bits(s: str) -> bytes:
 # A record no encoder writes: Chimp ``10`` before any stored leading-zero
 # count; Gorilla ``11`` with lz 31 + 63 meaningful bits > 64; an fpzip
 # Huffman table with codes 00 and 01 only, so the fourth symbol's ``11``
-# matches none (stream 00 01 00 11).
+# matches none (stream 00 01 00 11); a shf+zstd frame whose two bytes are
+# no zlib stream.
 _BAD_RECORD = {
     "Chimp": _blob(2, _bits("0" * 64 + "10" + "0" * 70)),
     "Gorilla": _blob(2, _bits("0" * 64 + "11" + "11111" + "111111" + "1" * 63)),
     "fpzip": _blob(
         4, (3).to_bytes(2, "little") + (1).to_bytes(8, "little") + bytes([2, 2, 2]) + _bits("00010011")
     ),
+    "shf+zstd": _blob(2, (2).to_bytes(4, "little") + b"\xff\xff"),
 }
 
 
