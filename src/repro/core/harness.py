@@ -1,17 +1,20 @@
 """Spark benchmark harness: codecs as per-partition UDFs (§5.1.1).
 
-The work unit is one (dataset, block, method) triple carried as a row of
-a Spark DataFrame with a binary payload column; ``mapInPandas`` runs the
-codec inside the executor (compress, decompress, verify bit-exact
-roundtrip, time both), and every metric table (4, 5, 6, 7, 8, 9, 10) is
-a Spark SQL aggregation over the result DataFrame — Catalyst does the
+The work unit is one (dataset, method) pair of names carried as a row of
+a Spark DataFrame. ``mapInPandas`` runs the kernel inside the executor:
+it generates each dataset of its batch once (the corpus is seeded by
+name, so executors and driver generate the same values), cuts it into
+blocks, and runs each method on each block (compress, decompress, verify
+bit-exact roundtrip, time both), one result row per (dataset, block,
+method). Every metric table (4, 5, 6, 7, 8, 9, 10) is a Spark SQL
+aggregation over the result DataFrame — Catalyst does the
 grouping/harmonic means, and tests cross-check those aggregations against
 the DuckDB oracle.
 """
 from __future__ import annotations
 
-import json
 import time
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,7 +22,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
-    BinaryType,
     BooleanType,
     LongType,
     StringType,
@@ -27,8 +29,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, load_codec
-from repro.data.corpus import corpus, generate, get_spec
+from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, load_codec
+from repro.data.corpus import blocks, corpus, generate, get_spec
 
 RESULT_SCHEMA = StructType(
     [
@@ -45,32 +47,83 @@ RESULT_SCHEMA = StructType(
     ]
 )
 
-_WORK_SCHEMA = StructType(
-    [
-        StructField("dataset", StringType()),
-        StructField("domain", StringType()),
-        StructField("method", StringType()),
-        StructField("block_id", LongType()),
-        StructField("dtype", StringType()),
-        StructField("dims", StringType()),
-        StructField("repeats", LongType()),
-        StructField("payload", BinaryType()),
-    ]
-)
+
+def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
+    """Compress, decompress and verify ``arr`` with ``method``, timing both:
+    the measured fields of one result row. Failures are recorded, not raised."""
+    rec = {
+        "orig_bytes": int(arr.nbytes),
+        "comp_bytes": None,
+        "comp_ns": None,
+        "decomp_ns": None,
+        "ok": False,
+        "error": None,
+    }
+    try:
+        codec = load_codec(method)
+        reps = max(int(repeats), 1)
+        comp_ns = decomp_ns = 2**63 - 1
+        blob = b""
+        for _ in range(reps):  # paper: repeated runs, best-of kept stable
+            t0 = time.perf_counter_ns()
+            blob = codec.compress(arr, dims=dims)
+            comp_ns = min(comp_ns, time.perf_counter_ns() - t0)
+        out_arr = np.zeros(0)
+        for _ in range(reps):
+            t0 = time.perf_counter_ns()
+            out_arr = codec.decompress(blob)
+            decomp_ns = min(decomp_ns, time.perf_counter_ns() - t0)
+        ok = bool(np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8)))
+        rec.update(
+            comp_bytes=len(blob),
+            comp_ns=int(comp_ns),
+            decomp_ns=int(decomp_ns),
+            ok=ok,
+            error=None if ok else "roundtrip mismatch",
+        )
+    except CodecFailure as e:
+        rec["error"] = f"-: {e}"
+    except Exception as e:  # runtime errors: the paper's killed runs
+        rec["error"] = f"{type(e).__name__}: {e}"
+    return rec
 
 
-def _split_payloads(arr: np.ndarray, block_bytes: int | None) -> list[bytes]:
-    raw = np.ascontiguousarray(arr).tobytes()
-    if block_bytes is None:
-        return [raw]
-    step = max(block_bytes, arr.dtype.itemsize)
-    step -= step % arr.dtype.itemsize  # whole elements per block
-    return [raw[o : o + step] for o in range(0, len(raw), step)] or [b""]
+def _run_partition(
+    batches: Iterator[pd.DataFrame],
+    *,
+    scale: float,
+    block_bytes: int | None,
+    use_dims: bool,
+    repeats: int,
+) -> Iterator[pd.DataFrame]:
+    """Executor-side worker: generate each dataset of the batch once, cut
+    it into blocks and run each of its methods on every block."""
+    for pdf in batches:
+        out = []
+        for name, work in pdf.groupby("dataset", sort=True):
+            spec = get_spec(name)
+            arr = generate(spec, scale)
+            # dims metadata only applies when compressing the whole dataset —
+            # a byte-range block no longer matches the logical grid extent
+            dims = arr.shape if block_bytes is None and use_dims and arr.ndim > 1 else None
+            parts = blocks(arr, block_bytes)
+            for method in work.method:
+                for block_id, block in enumerate(parts):
+                    out.append(
+                        {
+                            "dataset": name,
+                            "domain": spec.domain,
+                            "method": method,
+                            "block_id": block_id,
+                            **run_cell(method, block, dims, repeats),
+                        }
+                    )
+        yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
 
 
-def build_work_df(
+def run_benchmark(
     spark: SparkSession,
-    methods: Sequence[str],
+    methods: Sequence[str] = tuple(TABLE4_METHODS),
     *,
     scale: float = 1.0,
     datasets: Sequence[str] | None = None,
@@ -78,95 +131,22 @@ def build_work_df(
     use_dims: bool = True,
     repeats: int = 1,
 ) -> DataFrame:
-    """One row per (dataset, block, method) with the raw payload bytes."""
+    """Run the codec sweep; returns the per-(dataset, block, method) results.
+
+    Only the (dataset, method) names travel to the executors; each one
+    generates and cuts its own inputs."""
     specs = [get_spec(n) for n in datasets] if datasets else corpus()
-    rows = []
-    for spec in specs:
-        arr = generate(spec, scale)
-        # dims metadata only applies when compressing the whole dataset —
-        # a byte-range block no longer matches the logical grid extent
-        whole = block_bytes is None
-        dims = list(arr.shape) if (whole and use_dims and arr.ndim > 1) else None
-        for block_id, payload in enumerate(_split_payloads(arr, block_bytes)):
-            for m in methods:
-                rows.append(
-                    {
-                        "dataset": spec.name,
-                        "domain": spec.domain,
-                        "method": m,
-                        "block_id": block_id,
-                        "dtype": str(arr.dtype),
-                        "dims": json.dumps(dims) if block_id == 0 and dims else "",
-                        "repeats": repeats,
-                        "payload": payload,
-                    }
-                )
-    df = spark.createDataFrame(pd.DataFrame(rows), schema=_WORK_SCHEMA)
+    work = pd.DataFrame(
+        [(s.name, m) for s in specs for m in methods], columns=["dataset", "method"]
+    )
+    df = spark.createDataFrame(work, schema="dataset string, method string")
     # spread slow (method, dataset) cells across cores
-    return df.repartition(max(spark.sparkContext.defaultParallelism * 2, len(rows) // 4 + 1))
-
-
-def _run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    """Executor-side worker: run each codec on its payload and time it."""
-    from repro.codecs.base import CodecFailure, load_codec  # executor import
-
-    for pdf in batches:
-        out = []
-        for row in pdf.itertuples(index=False):
-            arr = np.frombuffer(bytes(row.payload), dtype=np.dtype(row.dtype))
-            dims = tuple(json.loads(row.dims)) if row.dims else None
-            rec = {
-                "dataset": row.dataset,
-                "domain": row.domain,
-                "method": row.method,
-                "block_id": int(row.block_id),
-                "orig_bytes": int(arr.nbytes),
-                "comp_bytes": None,
-                "comp_ns": None,
-                "decomp_ns": None,
-                "ok": False,
-                "error": None,
-            }
-            try:
-                codec = load_codec(row.method)
-                reps = max(int(row.repeats), 1)
-                comp_ns = decomp_ns = 2**63 - 1
-                blob = b""
-                for _ in range(reps):  # paper: repeated runs, best-of kept stable
-                    t0 = time.perf_counter_ns()
-                    blob = codec.compress(arr, dims=dims)
-                    comp_ns = min(comp_ns, time.perf_counter_ns() - t0)
-                out_arr = np.zeros(0)
-                for _ in range(reps):
-                    t0 = time.perf_counter_ns()
-                    out_arr = codec.decompress(blob)
-                    decomp_ns = min(decomp_ns, time.perf_counter_ns() - t0)
-                ok = bool(
-                    np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8))
-                )
-                rec.update(
-                    comp_bytes=len(blob),
-                    comp_ns=int(comp_ns),
-                    decomp_ns=int(decomp_ns),
-                    ok=ok,
-                    error=None if ok else "roundtrip mismatch",
-                )
-            except CodecFailure as e:
-                rec["error"] = f"-: {e}"
-            except Exception as e:  # runtime errors: the paper's killed runs
-                rec["error"] = f"{type(e).__name__}: {e}"
-            out.append(rec)
-        yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
-
-
-def run_benchmark(
-    spark: SparkSession,
-    methods: Sequence[str] = tuple(TABLE4_METHODS),
-    **kwargs,
-) -> DataFrame:
-    """Run the codec sweep; returns the per-(dataset, block, method) results."""
-    work = build_work_df(spark, methods, **kwargs)
-    return work.mapInPandas(_run_partition, schema=RESULT_SCHEMA)
+    df = df.repartition(max(spark.sparkContext.defaultParallelism * 2, len(work) // 4 + 1))
+    kernel = partial(
+        _run_partition, scale=scale, block_bytes=block_bytes, use_dims=use_dims,
+        repeats=repeats,
+    )
+    return df.mapInPandas(kernel, schema=RESULT_SCHEMA)
 
 
 def per_dataset_metrics(results: DataFrame) -> DataFrame:
@@ -229,22 +209,19 @@ _COMP_SCHEMA = StructType([StructField("comp_bytes", LongType())])
 _DECOMP_SCHEMA = StructType([StructField("orig_bytes", LongType())])
 
 
-def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+def _compress_only(
+    batches: Iterator[pd.DataFrame], *, method: str, dtype: np.dtype
+) -> Iterator[pd.DataFrame]:
+    codec = load_codec(method)
     for pdf in batches:
-        sizes = []
-        for row in pdf.itertuples(index=False):
-            arr = np.frombuffer(bytes(row.payload), dtype=np.dtype(row.dtype))
-            codec = load_codec(row.method)
-            sizes.append(len(codec.compress(arr)))
+        sizes = [len(codec.compress(np.frombuffer(p, dtype=dtype))) for p in pdf.payload]
         yield pd.DataFrame({"comp_bytes": sizes})
 
 
-def _decompress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+def _decompress_only(batches: Iterator[pd.DataFrame], *, method: str) -> Iterator[pd.DataFrame]:
+    codec = load_codec(method)
     for pdf in batches:
-        sizes = []
-        for row in pdf.itertuples(index=False):
-            codec = load_codec(row.method)
-            sizes.append(int(codec.decompress(bytes(row.payload)).nbytes))
+        sizes = [int(codec.decompress(p).nbytes) for p in pdf.payload]
         yield pd.DataFrame({"orig_bytes": sizes})
 
 
@@ -267,46 +244,31 @@ def scaling_benchmark(
     include pthread overhead (efficiency declines past the core count).
     """
     arr = generate(get_spec(dataset), scale)
-    raw = arr.tobytes()
-    chunks = [raw[o : o + chunk_bytes] for o in range(0, len(raw), chunk_bytes)]
-    dtype = str(arr.dtype)
+    parts = blocks(arr, chunk_bytes)
     codec = load_codec(method)
-    comp_chunks = [
-        codec.compress(np.frombuffer(c, dtype=np.dtype(dtype))) for c in chunks
-    ]
-    total = len(raw)
+    chunks = [p.tobytes() for p in parts]
+    comp_chunks = [codec.compress(p) for p in parts]
+    total = arr.nbytes
+    compress = partial(_compress_only, method=method, dtype=arr.dtype)
+    decompress = partial(_decompress_only, method=method)
 
-    def work_pdf(payloads):
-        return pd.DataFrame(
-            {
-                "dataset": dataset,
-                "domain": "HPC",
-                "method": method,
-                "block_id": range(len(payloads)),
-                "dtype": dtype,
-                "dims": "",
-                "repeats": 1,
-                "payload": payloads,
-            }
-        )
+    def payload_df(payloads):
+        return spark.createDataFrame(pd.DataFrame({"payload": payloads}), schema="payload binary")
 
     # untimed warm-up: the first Spark job pays Python-worker startup and
     # codec-module import, which would be misattributed to the p=1 config
-    warm = spark.createDataFrame(work_pdf(chunks[:4]), schema=_WORK_SCHEMA)
-    warm.mapInPandas(_compress_only, schema=_COMP_SCHEMA).count()
+    payload_df(chunks[:4]).mapInPandas(compress, schema=_COMP_SCHEMA).count()
 
     rows = []
     for p in partition_counts:
-        dfc = spark.createDataFrame(work_pdf(chunks), schema=_WORK_SCHEMA).repartition(p)
+        dfc = payload_df(chunks).repartition(p)
         t0 = time.perf_counter()
-        n = dfc.mapInPandas(_compress_only, schema=_COMP_SCHEMA).count()
+        n = dfc.mapInPandas(compress, schema=_COMP_SCHEMA).count()
         wall_c = time.perf_counter() - t0
         assert n == len(chunks)
-        dfd = spark.createDataFrame(
-            work_pdf(comp_chunks), schema=_WORK_SCHEMA
-        ).repartition(p)
+        dfd = payload_df(comp_chunks).repartition(p)
         t0 = time.perf_counter()
-        n = dfd.mapInPandas(_decompress_only, schema=_DECOMP_SCHEMA).count()
+        n = dfd.mapInPandas(decompress, schema=_DECOMP_SCHEMA).count()
         wall_d = time.perf_counter() - t0
         assert n == len(chunks)
         rows.append(

@@ -28,20 +28,6 @@ TABLE11_METHODS = [
 ]
 
 
-def full_sweep(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    methods=tuple(TABLE4_METHODS),
-    datasets=None,
-    repeats: int = 1,
-) -> DataFrame:
-    """The main 33×14 sweep feeding Tables 4/5/6 (cached)."""
-    return run_benchmark(
-        spark, methods, scale=scale, datasets=datasets, repeats=repeats
-    ).cache()
-
-
 def metrics_pdf(results: DataFrame) -> pd.DataFrame:
     """Per-(dataset, method) CR/CT/DT/wall metrics as pandas."""
     return per_dataset_metrics(results).toPandas()

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from repro.codecs.base import load_codec
-from repro.data.corpus import corpus, generate, get_spec
+from repro.data.corpus import blocks, corpus, generate, get_spec
 
 _DEFAULT_CHUNK = 64 * 1024  # compression block = 64 KiB page (§6.2)
 
@@ -56,13 +56,8 @@ def store_compressed(
     """
     spec = get_spec(dataset)
     arr = generate(spec, scale)
-    raw = arr.tobytes()
-    step = chunk_bytes - chunk_bytes % arr.dtype.itemsize
     codec = load_codec(method)
-    payloads = [
-        codec.compress(np.frombuffer(raw[off : off + step], dtype=arr.dtype))
-        for off in range(0, len(raw), step)
-    ]
+    payloads = [codec.compress(b) for b in blocks(arr, chunk_bytes)]
     n = len(payloads)
     table = pa.table(
         {"chunk_id": range(n), "dtype": [str(arr.dtype)] * n, "payload": payloads},
@@ -73,7 +68,7 @@ def store_compressed(
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     pq.write_table(table, path)
     return {
-        "orig_bytes": len(raw),
+        "orig_bytes": int(arr.nbytes),
         "comp_bytes": sum(map(len, payloads)),
         "n_chunks": n,
         "shape": arr.shape,

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro.codecs.base import TABLE4_METHODS
 from repro.core import tables
-from repro.core.harness import failures, scaling_benchmark
+from repro.core.harness import failures, run_benchmark, scaling_benchmark
 from repro.data.corpus import corpus_table
 from repro.dbsim.store import format_table11
 from repro.dbsim.store import table11 as dbsim_table11
@@ -72,7 +72,7 @@ class Context:
 
     def sweep(self) -> Sweep:
         if self._sweep is None:
-            res = tables.full_sweep(self.spark, scale=self.scale, repeats=self.repeats)
+            res = run_benchmark(self.spark, scale=self.scale, repeats=self.repeats).cache()
             self._sweep = Sweep(tables.metrics_pdf(res), failures(res).toPandas())
             res.unpersist()
         return self._sweep

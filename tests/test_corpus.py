@@ -5,6 +5,7 @@ import pytest
 from repro.core.metrics import harmonic_mean, value_entropy
 from repro.data.corpus import (
     DOMAINS,
+    blocks,
     corpus,
     corpus_table,
     generate,
@@ -110,6 +111,28 @@ class TestTpcNumericMatrix:
     def test_money_columns_two_decimals(self):
         m = tpc_numeric_matrix("order", 500, 1, seed=2)
         np.testing.assert_array_equal(np.round(m, 2), m)
+
+
+class TestBlocks:
+    def test_whole_is_one_flat_block(self):
+        arr = np.arange(12.0).reshape(3, 4)
+        (block,) = blocks(arr, None)
+        np.testing.assert_array_equal(block, arr.reshape(-1))
+
+    @pytest.mark.parametrize("nbytes,sizes", [(20, [2, 2, 1]), (3, [1] * 5), (64, [5])])
+    def test_whole_elements_per_block(self, nbytes, sizes):
+        arr = np.arange(5.0)
+        parts = blocks(arr, nbytes)
+        assert [p.size for p in parts] == sizes
+        np.testing.assert_array_equal(np.concatenate(parts), arr)
+
+    def test_empty_gives_one_empty_block(self):
+        assert [p.size for p in blocks(np.zeros(0, np.float32), 4096)] == [0]
+
+    def test_read_only_views_leave_input_writable(self):
+        arr = np.arange(8.0)
+        assert not any(p.flags.writeable for p in blocks(arr, 16))
+        assert arr.flags.writeable
 
 
 class TestMetrics:

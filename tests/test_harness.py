@@ -1,16 +1,17 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
 import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.codecs.base import load_codec
 from repro.core.harness import (
-    build_work_df,
     failures,
     harmonic_mean_cr,
     per_dataset_metrics,
     run_benchmark,
+    run_cell,
 )
+from repro.data.corpus import generate, get_spec
 from repro.oracle import assert_equivalent
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
@@ -88,32 +89,12 @@ class TestSparkSQLAggregationsOracle:
 
 
 class TestFailurePath:
-    def test_buff_failure_recorded_not_raised(self, spark):
-        # hurricane analog contains huge dynamic range; inject NaN via a
-        # dedicated tiny run on a specials dataset: use BUFF on astro-pt
-        # (full-precision noise -> raw mode, fine) and on a NaN payload.
-        import pandas as pd
-
-        from repro.core.harness import _WORK_SCHEMA, _run_partition, RESULT_SCHEMA
-
-        arr = np.array([1.0, np.nan, 2.0])
-        pdf = pd.DataFrame(
-            {
-                "dataset": ["x"],
-                "domain": ["HPC"],
-                "method": ["BUFF"],
-                "block_id": [0],
-                "dtype": ["float64"],
-                "dims": [""],
-                "repeats": [1],
-                "payload": [arr.tobytes()],
-            }
-        )
-        df = spark.createDataFrame(pdf, schema=_WORK_SCHEMA)
-        res = df.mapInPandas(_run_partition, schema=RESULT_SCHEMA).toPandas()
-        assert not res.ok.iloc[0]
-        assert res.error.iloc[0].startswith("-")
-        assert pd.isna(res.comp_bytes.iloc[0])
+    def test_buff_failure_recorded_not_raised(self):
+        # no corpus dataset holds a NaN, which BUFF declines
+        rec = run_cell("BUFF", np.array([1.0, np.nan, 2.0]), None, 1)
+        assert not rec["ok"]
+        assert rec["error"].startswith("-: ")
+        assert rec["comp_bytes"] is None
 
     def test_failures_view(self, spark):
         res = run_benchmark(
@@ -124,16 +105,26 @@ class TestFailurePath:
 
 
 class TestBlockMode:
-    def test_block_split_covers_all_bytes(self, spark):
-        work = build_work_df(
-            spark, ["nv::btcomp"], scale=0.05, datasets=["citytemp"], block_bytes=4096
-        )
-        pdf = work.toPandas()
-        from repro.data.corpus import generate, get_spec
-
-        arr = generate(get_spec("citytemp"), 0.05)
-        assert pdf.payload.map(len).sum() == arr.nbytes
-        assert (pdf.payload.map(len) % arr.dtype.itemsize == 0).all()
+    @pytest.mark.parametrize("block_bytes", [None, 4096], ids=["whole", "4K"])
+    def test_cells_match_driver_side_compression(self, spark, block_bytes):
+        methods = ["ndzip-C", "MPC"]
+        res = run_benchmark(
+            spark, methods, scale=0.05, datasets=["gas-price"], block_bytes=block_bytes
+        ).toPandas()
+        arr = generate(get_spec("gas-price"), 0.05)
+        assert arr.ndim == 2
+        flat = arr.reshape(-1)
+        step = flat.size if block_bytes is None else block_bytes // arr.itemsize
+        parts = [flat[o : o + step] for o in range(0, flat.size, step)]
+        dims = arr.shape if block_bytes is None else None
+        for m in methods:
+            got = res[res.method == m].sort_values("block_id")
+            assert list(got.block_id) == list(range(len(parts)))
+            assert got.orig_bytes.sum() == arr.nbytes
+            assert (got.orig_bytes % arr.itemsize == 0).all()
+            codec = load_codec(m)
+            want = [len(codec.compress(p, dims=dims)) for p in parts]
+            assert list(got.comp_bytes) == want
 
     def test_blocked_roundtrip(self, spark):
         res = run_benchmark(

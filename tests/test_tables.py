@@ -3,9 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.harness import run_benchmark
 from repro.core.tables import (
     DIM_METHODS,
-    full_sweep,
     metrics_pdf,
     ranking_summary,
     table4,
@@ -21,7 +21,7 @@ DATASETS = ["citytemp", "gas-price", "astro-mhd", "tpcDS-web", "hdr-night"]
 
 @pytest.fixture(scope="module")
 def metrics(spark):
-    res = full_sweep(spark, scale=0.05, methods=METHODS, datasets=DATASETS)
+    res = run_benchmark(spark, METHODS, scale=0.05, datasets=DATASETS).cache()
     return metrics_pdf(res)
 
 
