@@ -98,40 +98,49 @@ class DzipLite(Codec):
         nbytes = count * wdt.itemsize
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
         bits += [0] * 64  # zero padding past the stream end
-        model = _Model()
-        low, high = 0, _TOP - 1
-        value = 0
-        pos = 0
-        for _ in range(32):
+        try:
+            out = _decode_bytes(bits, nbytes)
+        except IndexError:  # ran past the padding: truncated stream or forged count
+            raise ValueError(f"Dzip stream of {len(payload)} bytes ends before {count} values") from None
+        return np.frombuffer(bytes(out), dtype=wdt, count=count)
+
+
+def _decode_bytes(bits: list[int], nbytes: int) -> bytearray:
+    """Arithmetic-decode ``nbytes`` symbols from ``bits``."""
+    model = _Model()
+    low, high = 0, _TOP - 1
+    value = 0
+    pos = 0
+    for _ in range(32):
+        value = (value << 1) | bits[pos]
+        pos += 1
+    out = bytearray()
+    ctx = 0
+    for _ in range(nbytes):
+        cum, total = model.dist(ctx)
+        span = high - low + 1
+        scaled = ((value - low + 1) * total - 1) // span
+        sym = int(np.searchsorted(cum, scaled, side="right")) - 1
+        high = low + span * int(cum[sym + 1]) // total - 1
+        low = low + span * int(cum[sym]) // total
+        while True:
+            if high < _HALF:
+                pass
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                value -= _HALF
+            elif low >= _QUARTER and high < 3 * _QUARTER:
+                low -= _QUARTER
+                high -= _QUARTER
+                value -= _QUARTER
+            else:
+                break
+            low <<= 1
+            high = (high << 1) | 1
             value = (value << 1) | bits[pos]
             pos += 1
-        out = bytearray()
-        ctx = 0
-        for _ in range(nbytes):
-            cum, total = model.dist(ctx)
-            span = high - low + 1
-            scaled = ((value - low + 1) * total - 1) // span
-            sym = int(np.searchsorted(cum, scaled, side="right")) - 1
-            high = low + span * int(cum[sym + 1]) // total - 1
-            low = low + span * int(cum[sym]) // total
-            while True:
-                if high < _HALF:
-                    pass
-                elif low >= _HALF:
-                    low -= _HALF
-                    high -= _HALF
-                    value -= _HALF
-                elif low >= _QUARTER and high < 3 * _QUARTER:
-                    low -= _QUARTER
-                    high -= _QUARTER
-                    value -= _QUARTER
-                else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-                value = (value << 1) | bits[pos]
-                pos += 1
-            model.update(ctx, sym)
-            out.append(sym)
-            ctx = sym
-        return np.frombuffer(bytes(out), dtype=wdt, count=count)
+        model.update(ctx, sym)
+        out.append(sym)
+        ctx = sym
+    return out

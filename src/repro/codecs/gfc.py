@@ -62,6 +62,9 @@ class GFC(Codec):
 
     def _decode(self, payload, wdt, count, dims):
         n = (count * wdt.itemsize + 7) // 8  # uint64 word count incl. padded tail
+        # every word takes a 4-bit nibble and at least one magnitude byte
+        if 4 + (n + 1) // 2 + n > len(payload):
+            raise ValueError(f"count {count} exceeds what {len(payload)} GFC bytes hold")
         hlen = int.from_bytes(payload[:4], "little")
         head = payload[4 : 4 + hlen]
         nibbles = unpack_bits(head, np.full(n, 4, dtype=np.int64))

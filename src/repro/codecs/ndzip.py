@@ -25,6 +25,8 @@ substitution #3).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
@@ -114,12 +116,15 @@ class _NdzipBase(Codec):
         enc_len = int.from_bytes(payload[:8], "little")
         enc = payload[8 : 8 + enc_len]
         tail_buf = payload[8 + enc_len :]
+        nblocks = math.prod(tiles) if all(tiles) else 0
+        groups = nblocks * (_BLOCK // width)
+        mapbytes = groups * (width // 8)  # one bitmap bit per transposed word
+        tail_n = math.prod(shape) - nblocks * _BLOCK
+        if math.prod(shape) != count or mapbytes > len(enc) or tail_n * wdt.itemsize > len(tail_buf):
+            raise ValueError(f"count {count} exceeds what {len(payload)} ndzip bytes hold")
         out = np.zeros(shape, dtype=wdt)
         mask = np.zeros(shape, dtype=bool)
-        nblocks = int(np.prod(tiles)) if all(tiles) else 0
         if nblocks:
-            groups = nblocks * (_BLOCK // width)
-            mapbytes = groups * (width // 8)
             bitmaps = np.frombuffer(enc, dtype=np.uint8, count=mapbytes)
             nonzero = np.unpackbits(bitmaps.reshape(groups, -1), axis=1).astype(bool)
             nz = np.frombuffer(
@@ -135,7 +140,7 @@ class _NdzipBase(Codec):
             crop = tuple(slice(0, t * s) for t, s in zip(tiles, side))
             mask[crop] = True
             _join_blocks(blocks, side, tiles, out)
-        tail = np.frombuffer(tail_buf, dtype=wdt, count=int((~mask).sum()))
+        tail = np.frombuffer(tail_buf, dtype=wdt, count=tail_n)
         out[~mask] = tail
         return from_ordered(out.reshape(-1))
 

@@ -15,8 +15,10 @@ into chunks distributed across pthreads, default 8):
 pFPC is double-only; single-precision input is reinterpreted as 64-bit
 words like the original does with raw streams. The hash-table recurrence
 is inherently sequential, so each chunk runs a Python loop over native
-ints (the original is serial per thread too); chunks are independent, so
-the harness's Spark partitions parallelize exactly where pthreads do.
+ints (the original is serial per thread too). The chunks are independent,
+but nothing here runs them in parallel: the harness parallelizes across
+(dataset, method) cells, and Tables 7/8 parallelize across fixed-size
+chunks of one dataset, each compressed as a whole pFPC stream.
 """
 from __future__ import annotations
 
@@ -124,13 +126,18 @@ class PFPC(Codec):
         return bytes(out)
 
     def _decode(self, payload, wdt, count, dims):
+        n = (count * wdt.itemsize + 7) // 8  # uint64 word count incl. padded tail
         nthreads = int(np.frombuffer(payload, np.uint32, 1)[0])
         p = 4
         parts = []
+        total = 0
         for _ in range(nthreads):
-            cn, hlen, blen = np.frombuffer(payload, np.uint64, 3, p)
+            cn, hlen, blen = (int(x) for x in np.frombuffer(payload, np.uint64, 3, p))
             p += 24
-            cn, hlen, blen = int(cn), int(hlen), int(blen)
+            total += cn
+            # 4-bit codes: hlen bytes hold at most 2 * hlen values
+            if total > n or cn > 2 * hlen or p + hlen + blen > len(payload):
+                raise ValueError(f"pFPC chunk of {cn} values does not fit count {count}")
             head = payload[p : p + hlen]
             body = payload[p + hlen : p + hlen + blen]
             p += hlen + blen
@@ -140,5 +147,7 @@ class PFPC(Codec):
             nzb = 8 - lzb
             resids = unpack_bytes(body, nzb)
             parts.append(_decompress_chunk(codes, resids))
+        if total != n:
+            raise ValueError(f"pFPC chunks hold {total} words, not the {n} of count {count}")
         stream = np.concatenate(parts)
         return u64_stream_to_words(stream, wdt, count)

@@ -3,15 +3,19 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.codecs.base import load_codec
+from repro.codecs.base import TABLE4_METHODS, load_codec
 from repro.core.harness import (
+    _COST_S_PER_MB,
+    RESULT_SCHEMA,
+    cell_cost,
     failures,
     harmonic_mean_cr,
     per_dataset_metrics,
+    plan_bins,
     run_benchmark,
     run_cell,
 )
-from repro.data.corpus import generate, get_spec
+from repro.data.corpus import corpus, generate, get_spec
 from repro.oracle import assert_equivalent
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
@@ -136,3 +140,46 @@ class TestBlockMode:
         ).toPandas()
         assert res.ok.all()
         assert res.block_id.max() > 0
+
+
+SWEEP_CELLS = [(s.name, m) for s in corpus() for m in TABLE4_METHODS]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_every_cell_placed_once(self, k):
+        plan = plan_bins(SWEEP_CELLS, k, 0.5)
+        assert len(plan) == k
+        placed = [c for b in plan for c in b]
+        assert sorted(placed) == sorted(SWEEP_CELLS)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+    def test_lpt_makespan_bound(self, k):
+        costs = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
+        plan = plan_bins(SWEEP_CELLS, k, 0.5)
+        makespan = max(sum(costs[c] for c in b) for b in plan)
+        assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
+
+    def test_every_table4_method_has_a_cost(self):
+        assert set(TABLE4_METHODS) <= set(_COST_S_PER_MB)
+
+    def test_no_cells_one_empty_bin(self):
+        assert plan_bins([], 1, 0.5) == ((),)
+
+    @pytest.mark.parametrize("n_methods", [1, len(FAST_METHODS)])
+    def test_one_partition_per_bin(self, spark, n_methods):
+        res = run_benchmark(spark, FAST_METHODS[:n_methods], **TINY)
+        cells = n_methods * len(TINY["datasets"])
+        assert res.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, cells)
+
+    def test_no_methods_gives_empty_frame(self, spark):
+        res = run_benchmark(spark, [], scale=0.05, datasets=["citytemp"])
+        assert res.rdd.getNumPartitions() == 1
+        assert res.schema == RESULT_SCHEMA
+        assert res.count() == 0
+
+    def test_no_exchange_in_executed_plan(self, spark):
+        res = run_benchmark(spark, FAST_METHODS, **TINY)
+        plan = res._jdf.queryExecution().executedPlan().toString()
+        assert "MapInPandas" in plan
+        assert "Exchange" not in plan
