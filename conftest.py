@@ -50,6 +50,9 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+#: Spark SQL's post-shuffle partition count, as in ``repro.run``.
+SHUFFLE_PARTITIONS = 64
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
@@ -64,10 +67,7 @@ def spark() -> SparkSession:
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

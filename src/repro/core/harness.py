@@ -9,10 +9,15 @@ kernel takes its bin's cells dataset by dataset: it generates each
 dataset once (the corpus is seeded by name, so executors and driver
 generate the same values), cuts it into blocks, and runs each method on
 each block (compress, decompress, verify bit-exact roundtrip, time
-both), one result row per (dataset, block, method). Every metric table
-(4, 5, 6, 7, 8, 9, 10) is a Spark SQL aggregation over the result
-DataFrame — Catalyst does the grouping/harmonic means, and tests
-cross-check those aggregations against the DuckDB oracle.
+both), one result row per (dataset, block, method).
+
+Spark SQL then aggregates those rows into each (dataset, method)'s CR,
+CT, DT and wall times (:func:`per_dataset_metrics`), and tests
+cross-check it against the DuckDB oracle. The per-method and per-domain
+averages of Tables 4, 5, 6, 9 and 10 are pandas over those at most 33
+rows per method, in :mod:`repro.core.tables`. Tables 7/8
+(:func:`scaling_benchmark`) map one codec over one dataset's chunks with
+``parallelize`` and time each job; their few rows are pandas too.
 """
 from __future__ import annotations
 
@@ -247,13 +252,6 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
     )
 
 
-def harmonic_mean_cr(metrics: DataFrame, by: Sequence[str]) -> DataFrame:
-    """Harmonic-mean CR grouped by ``by`` (the paper's CR aggregate)."""
-    return metrics.groupBy(*by).agg(
-        (F.count("cr") / F.sum(1.0 / F.col("cr"))).alias("hmean_cr")
-    )
-
-
 def failures(results: DataFrame) -> DataFrame:
     """The "-" cells: per (dataset, method) rows that did not succeed."""
     return results.where(~F.col("ok")).select("dataset", "method", "error").distinct()
@@ -261,72 +259,52 @@ def failures(results: DataFrame) -> DataFrame:
 
 # --- Tables 7/8: parallel scaling -------------------------------------------
 
-_COMP_SCHEMA = StructType([StructField("comp_bytes", LongType())])
-_DECOMP_SCHEMA = StructType([StructField("orig_bytes", LongType())])
-
-
-def _compress_only(
-    batches: Iterator[pd.DataFrame], *, method: str, dtype: np.dtype
-) -> Iterator[pd.DataFrame]:
-    codec = load_codec(method)
-    for pdf in batches:
-        sizes = [len(codec.compress(np.frombuffer(p, dtype=dtype))) for p in pdf.payload]
-        yield pd.DataFrame({"comp_bytes": sizes})
-
-
-def _decompress_only(batches: Iterator[pd.DataFrame], *, method: str) -> Iterator[pd.DataFrame]:
-    codec = load_codec(method)
-    for pdf in batches:
-        sizes = [int(codec.decompress(p).nbytes) for p in pdf.payload]
-        yield pd.DataFrame({"orig_bytes": sizes})
+#: Tables 7/8 cut the msg-bt analog into 256 KiB chunks.
+_SCALING_DATASET = "msg-bt"
+_SCALING_CHUNK_BYTES = 1 << 18
 
 
 def scaling_benchmark(
     spark: SparkSession,
     method: str,
-    partition_counts: Iterable[int] = (1, 2, 4, 8, 16, 24, 32, 48),
+    partition_counts: Iterable[int],
     *,
     scale: float = 1.0,
-    chunk_bytes: int = 1 << 18,
-    dataset: str = "msg-bt",
 ) -> pd.DataFrame:
     """Measured throughput vs Spark-partition count (threads → partitions,
     DESIGN.md substitution #9; Tables 7 and 8).
 
-    The dataset is split into fixed chunks; for each partition count a
-    compress-only job and a decompress-only job are run and their
-    *wall-clock* times taken — the speedup therefore includes scheduler
-    overhead and core saturation exactly as the paper's thread sweeps
-    include pthread overhead (efficiency declines past the core count).
+    The dataset is cut into fixed chunks; for each partition count the
+    codec is mapped over the chunks in ``p`` slices, one compress job and
+    one decompress job, and their *wall-clock* times taken — the speedup
+    therefore includes scheduler overhead and core saturation exactly as
+    the paper's thread sweeps include pthread overhead (efficiency declines
+    past the core count). ``parallelize`` ships each task only its own
+    slice, so every job is one stage with no shuffle.
     """
-    arr = generate(get_spec(dataset), scale)
-    parts = blocks(arr, chunk_bytes)
+    arr = generate(get_spec(_SCALING_DATASET), scale)
+    chunks = blocks(arr, _SCALING_CHUNK_BYTES)
     codec = load_codec(method)
-    chunks = [p.tobytes() for p in parts]
-    comp_chunks = [codec.compress(p) for p in parts]
     total = arr.nbytes
-    compress = partial(_compress_only, method=method, dtype=arr.dtype)
-    decompress = partial(_decompress_only, method=method)
-
-    def payload_df(payloads):
-        return spark.createDataFrame(pd.DataFrame({"payload": payloads}), schema="payload binary")
+    sc = spark.sparkContext
 
     # untimed warm-up: the first Spark job pays Python-worker startup and
-    # codec-module import, which would be misattributed to the p=1 config
-    payload_df(chunks[:4]).mapInPandas(compress, schema=_COMP_SCHEMA).count()
+    # codec-module import, which would be misattributed to the p=1 config;
+    # its output is the decompress jobs' input
+    comp_chunks = sc.parallelize(chunks, sc.defaultParallelism).map(codec.compress).collect()
 
     rows = []
     for p in partition_counts:
-        dfc = payload_df(chunks).repartition(p)
+        rdd = sc.parallelize(chunks, p)
         t0 = time.perf_counter()
-        n = dfc.mapInPandas(compress, schema=_COMP_SCHEMA).count()
+        n = rdd.map(codec.compress).count()
         wall_c = time.perf_counter() - t0
         assert n == len(chunks)
-        dfd = payload_df(comp_chunks).repartition(p)
+        rdd = sc.parallelize(comp_chunks, p)
         t0 = time.perf_counter()
-        n = dfd.mapInPandas(decompress, schema=_DECOMP_SCHEMA).count()
+        nbytes = rdd.map(lambda b: codec.decompress(b).nbytes).sum()
         wall_d = time.perf_counter() - t0
-        assert n == len(chunks)
+        assert nbytes == total
         rows.append(
             {
                 "partitions": p,

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.codecs.base import TABLE4_METHODS, TABLE10_METHODS
 from repro.core import stats
 from repro.core.harness import per_dataset_metrics, run_benchmark
+from repro.core.metrics import harmonic_mean
 from repro.data.corpus import DOMAINS, corpus
 
 #: Table 9's methods: the ones whose predictors take dimension information.
@@ -26,11 +27,6 @@ TABLE11_METHODS = [
     "pFPC", "SPDP", "fpzip", "shf+LZ4", "shf+zstd", "ndzip-C",
     "Gorilla", "Chimp", "GFC", "MPC", "ndzip-G",
 ]
-
-
-def metrics_pdf(results: DataFrame) -> pd.DataFrame:
-    """Per-(dataset, method) CR/CT/DT/wall metrics as pandas."""
-    return per_dataset_metrics(results).toPandas()
 
 
 def _ordered_columns(columns) -> list[str]:
@@ -51,19 +47,13 @@ def table4(metrics: pd.DataFrame) -> pd.DataFrame:
             continue
         sub = pivot.loc[names]
         out_rows.append(sub)
-        hm = sub.apply(lambda c: stats_hmean(c), axis=0)
+        hm = sub.apply(harmonic_mean, axis=0)
         hm.name = f"{dom} Domain-avg"
         out_rows.append(hm.to_frame().T)
-    overall = pivot.apply(lambda c: stats_hmean(c), axis=0)
+    overall = pivot.apply(harmonic_mean, axis=0)
     overall.name = "Overall-avg"
     out_rows.append(overall.to_frame().T)
     return pd.concat(out_rows)
-
-
-def stats_hmean(col: pd.Series) -> float:
-    from repro.core.metrics import harmonic_mean
-
-    return harmonic_mean(col.dropna().tolist())
 
 
 @dataclass
@@ -117,11 +107,11 @@ def table9(spark: SparkSession, *, scale: float = 1.0, repeats: int = 1) -> pd.D
             spark, DIM_METHODS, scale=scale, datasets=multi,
             use_dims=use_dims, repeats=repeats,
         )
-        m = metrics_pdf(res)
+        m = per_dataset_metrics(res).toPandas()
         for meth in DIM_METHODS:
             crs = m[m.method == meth].cr.tolist()
             per_method_crs[(meth, label)] = crs
-            rows.setdefault(meth, {})[f"hmean_{label}"] = stats_hmean(pd.Series(crs))
+            rows.setdefault(meth, {})[f"hmean_{label}"] = harmonic_mean(crs)
     for meth in DIM_METHODS:
         _, p = stats.mann_whitney_u(
             per_method_crs[(meth, "md")], per_method_crs[(meth, "1d")]
@@ -146,10 +136,10 @@ def table10(
             spark, methods, scale=scale, datasets=datasets,
             block_bytes=bs, repeats=repeats,
         )
-        m = metrics_pdf(res)
+        m = per_dataset_metrics(res).toPandas()
         agg = pd.DataFrame(
             {
-                "avg-CR": m.groupby("method").cr.apply(stats_hmean),
+                "avg-CR": m.groupby("method").cr.apply(harmonic_mean),
                 "avg-CT (GB/s)": m.groupby("method").ct_gbs.mean(),
                 "avg-DT (GB/s)": m.groupby("method").dt_gbs.mean(),
             }

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro.codecs.base import TABLE4_METHODS
 from repro.core import tables
-from repro.core.harness import failures, run_benchmark, scaling_benchmark
+from repro.core.harness import failures, per_dataset_metrics, run_benchmark, scaling_benchmark
 from repro.data.corpus import corpus_table
 from repro.dbsim.store import format_table11
 from repro.dbsim.store import table11 as dbsim_table11
@@ -30,6 +30,9 @@ from repro.roofline.model import measure_machine_roof, profile_codecs
 #: Tables 7/8: the paper's four parallel-capable methods and thread counts.
 SCALING_METHODS = ("pFPC", "shf+LZ4", "shf+zstd", "ndzip-C")
 SCALING_PARTITIONS = (1, 2, 4, 8, 16, 24, 32, 48)
+
+#: Spark SQL's post-shuffle partition count (the sweep's aggregations).
+SHUFFLE_PARTITIONS = 64
 
 
 @dataclass
@@ -59,12 +62,8 @@ class Context:
         if self.session is None:
             self.session = (
                 SparkSession.builder.appName("repro.run")
-                .config(
-                    "spark.sql.shuffle.partitions",
-                    os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-                )
+                .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
                 .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-                .config("spark.sql.autoBroadcastJoinThreshold", -1)
                 .getOrCreate()
             )
             self.session.sparkContext.setLogLevel("ERROR")
@@ -73,7 +72,7 @@ class Context:
     def sweep(self) -> Sweep:
         if self._sweep is None:
             res = run_benchmark(self.spark, scale=self.scale, repeats=self.repeats).cache()
-            self._sweep = Sweep(tables.metrics_pdf(res), failures(res).toPandas())
+            self._sweep = Sweep(per_dataset_metrics(res).toPandas(), failures(res).toPandas())
             res.unpersist()
         return self._sweep
 
@@ -126,7 +125,7 @@ def table07_08(
     """Threads → Spark partitions (DESIGN.md substitution #9)."""
     frames = []
     for m in methods:
-        t = scaling_benchmark(ctx.spark, m, partitions, scale=scale, chunk_bytes=1 << 18)
+        t = scaling_benchmark(ctx.spark, m, partitions, scale=scale)
         t.insert(0, "method", m)
         frames.append(t)
     t = pd.concat(frames, ignore_index=True)

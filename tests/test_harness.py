@@ -1,5 +1,6 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -9,12 +10,12 @@ from repro.core.harness import (
     RESULT_SCHEMA,
     cell_cost,
     failures,
-    harmonic_mean_cr,
     per_dataset_metrics,
     plan_bins,
     run_benchmark,
     run_cell,
 )
+from repro.core.tables import table4
 from repro.data.corpus import corpus, generate, get_spec
 from repro.oracle import assert_equivalent
 
@@ -71,24 +72,32 @@ class TestSparkSQLAggregationsOracle:
         )
 
     def test_harmonic_mean_matches_duckdb(self, spark, results):
-        m = per_dataset_metrics(results).cache()
-        got = harmonic_mean_cr(m, ["method"])
+        m = per_dataset_metrics(results).toPandas()
+        overall = table4(m).loc["Overall-avg"]
+        got = pd.DataFrame({"method": overall.index, "hmean_cr": overall.to_numpy()})
         assert_equivalent(
-            got,
+            spark.createDataFrame(got),
             "SELECT method, COUNT(cr) / SUM(1.0/cr) AS hmean_cr FROM m GROUP BY method",
-            m=m.toPandas(),
+            m=m,
         )
 
     def test_domain_grouping_matches_duckdb(self, spark, results):
-        m = per_dataset_metrics(results)
-        got = harmonic_mean_cr(m, ["domain", "method"])
+        m = per_dataset_metrics(results).toPandas()
+        t4 = table4(m)
+        avg = t4[t4.index.str.endswith(" Domain-avg")]
+        got = (
+            avg.rename(index=lambda i: i.removesuffix(" Domain-avg"))
+            .rename_axis(index="domain", columns="method")
+            .reset_index()
+            .melt(id_vars="domain", value_name="hmean_cr")
+        )
         assert_equivalent(
-            got,
+            spark.createDataFrame(got),
             """
             SELECT domain, method, COUNT(cr) / SUM(1.0/cr) AS hmean_cr
             FROM m GROUP BY domain, method
             """,
-            m=m.toPandas(),
+            m=m,
         )
 
 

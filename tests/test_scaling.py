@@ -14,7 +14,6 @@ class TestScaling:
             "pFPC",
             partition_counts=(1, 2, 4),
             scale=8.0,
-            chunk_bytes=1 << 18,
         )
 
     def test_columns(self, table):
@@ -27,6 +26,7 @@ class TestScaling:
             "decomp_speedup",
             "decomp_efficiency",
         } <= set(table.columns)
+        assert list(table.partitions) == [1, 2, 4]
 
     def test_baseline_normalised(self, table):
         assert table.comp_speedup.iloc[0] == pytest.approx(1.0)
@@ -39,3 +39,20 @@ class TestScaling:
     def test_parallel_speedup_materialises(self, table):
         """Observation 7: data-parallel designs scale with workers."""
         assert table.comp_speedup.iloc[-1] > 1.2
+
+
+def test_each_job_is_one_stage(spark):
+    """One warm-up job, then a compress and a decompress job per partition
+    count, each a single stage: no shuffle inside a timed job."""
+    sc = spark.sparkContext
+    counts = (1, 2)
+    sc.setJobGroup("test-scaling-stages", "Tables 7/8 jobs")
+    try:
+        scaling_benchmark(spark, "shf+zstd", counts)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup("test-scaling-stages")
+    assert len(jobs) == 1 + 2 * len(counts)
+    for j in jobs:
+        assert len(tracker.getJobInfo(j).stageIds) == 1
