@@ -9,7 +9,7 @@ all elements land in consecutive bytes; a downstream dictionary coder
 Backends (DESIGN.md substitution #2): "LZ4" is this repo's LZ4-style LZ77
 (`lz77.py`); "zstd" is stdlib zlib at level 9 (DEFLATE: LZ77 + Huffman,
 the same match+entropy-coding family as zstd). The SSE2/AVX2 transpose of
-the original is the vectorized `np.unpackbits` transpose here; Spark
+the original is the vectorized `bitio.bit_transpose` here; Spark
 partitions provide the thread-level parallelism in the harness.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
 from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
-from repro.core.bitio import bitshuffle_bits, bitunshuffle_bits
+from repro.core.bitio import bit_transpose
 
 _BLOCK_BYTES = 4096
 
@@ -36,7 +36,9 @@ class _BitshuffleBase(Codec):
         width = words.dtype.itemsize * 8
 
         def compress(block: bytes) -> bytes:
-            shuffled = bitshuffle_bits(np.frombuffer(block, np.uint8), width)
+            # transpose the block's (elements x element bits) matrix
+            raw = np.frombuffer(block, np.uint8)
+            shuffled = bit_transpose(raw, raw.size * 8 // width, width)
             return self._backend_compress(shuffled.tobytes())
 
         return frame_chunks(words.tobytes(), _BLOCK_BYTES, compress)
@@ -46,7 +48,7 @@ class _BitshuffleBase(Codec):
 
         def decompress(comp: bytes) -> bytes:
             shuffled = np.frombuffer(self._backend_decompress(comp), np.uint8)
-            return bitunshuffle_bits(shuffled, width).tobytes()
+            return bit_transpose(shuffled, width, shuffled.size * 8 // width).tobytes()
 
         return np.frombuffer(unframe_chunks(payload, decompress), dtype=wdt, count=count)
 

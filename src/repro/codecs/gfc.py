@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
-from repro.core.bitio import bit_length_u64, pack_bits, pack_bytes, unpack_bits, unpack_bytes
+from repro.core.bitio import bit_length_u64, pack_bits, unpack_bits
 from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
 _SUB = 32  # values per subchunk == GPU warp width
@@ -57,7 +57,7 @@ class GFC(Codec):
         nzb = 8 - lzb
         nibble = (sign << np.uint64(3)) | lzb.astype(np.uint64)
         head = pack_bits(nibble, np.full(n, 4, dtype=np.int64))
-        body = pack_bytes(mag, nzb)
+        body = pack_bits(mag, 8 * nzb)
         return len(head).to_bytes(4, "little") + head + body
 
     def _decode(self, payload, wdt, count, dims):
@@ -70,7 +70,7 @@ class GFC(Codec):
         nibbles = unpack_bits(head, np.full(n, 4, dtype=np.int64))
         sign = ((nibbles >> np.uint64(3)) & np.uint64(1)).astype(bool)
         lzb = (nibbles & np.uint64(7)).astype(np.int64)
-        mag = unpack_bytes(payload[4 + hlen :], 8 - lzb)
+        mag = unpack_bits(payload[4 + hlen :], 8 * (8 - lzb))
         with np.errstate(over="ignore"):
             r = np.where(sign, (~mag + np.uint64(1)), mag)  # two's-complement negate
         # invert the shared-base recurrence: within subchunk k every value is

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import leading_zeros, pack_bits, read_bits_at, trailing_zeros
+from repro.core.bitio import bit_length_u64, pack_bits, read_bits_at, trailing_zeros
 
 _MAX_LZ = 31  # 5-bit leading-zero field
 
@@ -47,7 +47,7 @@ class Gorilla(Codec):
             return b""
         xor = w.copy()
         xor[1:] = w[1:] ^ w[:-1]
-        lz = np.minimum(leading_zeros(xor, width), _MAX_LZ).tolist()
+        lz = np.minimum(width - bit_length_u64(xor), _MAX_LZ).tolist()
         tz = trailing_zeros(xor, width).tolist()
         xor_l = xor.tolist()
         vals: list[int] = [int(w[0])]

@@ -80,9 +80,6 @@ class Huffman:
         s = np.asarray(symbols, dtype=np.int64)
         return pack_bits(self.codes[s], self.lengths[s].astype(np.int64))
 
-    def encoded_bits(self, symbols: np.ndarray) -> int:
-        return int(self.lengths[np.asarray(symbols, dtype=np.int64)].sum())
-
     def decode(self, buf: bytes, n: int) -> np.ndarray:
         """The first ``n`` symbols of the bitstream ``buf``.
 

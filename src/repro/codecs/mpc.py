@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import transpose_groups
+from repro.core.bitio import bit_transpose, drop_zero_words, restore_zero_words
 from repro.core.floatmap import lag_diff, lag_sum
 
 _CHUNK = 1024
@@ -53,31 +53,15 @@ class MPC(Codec):
         width = dt.itemsize * 8
         mat = _pad_to_chunks(words)
         res = lag_diff(mat, _LAG, (1,))  # LNV6s
-        nchunks = mat.shape[0]
-        # BIT: bit transpose per width-sized group of words
-        tw = transpose_groups(res.reshape(-1, width), width).reshape(nchunks, -1)
-        tw = lag_diff(tw, 1, (1,))  # LNV1s on transposed words
-        flat = tw.reshape(-1)
-        # ZE: zero-word bitmap + copied non-zeros
-        nonzero = flat != 0
-        bitmap = np.packbits(nonzero)
-        body = np.ascontiguousarray(flat[nonzero])
-        return bitmap.tobytes() + body.tobytes()
+        # BIT: each group of `width` words is a width x width bit matrix
+        tw = bit_transpose(res.reshape(-1, width).view(np.uint8), width, width)
+        tw = lag_diff(tw.view(dt).reshape(res.shape), 1, (1,))  # LNV1s
+        return drop_zero_words(tw)  # ZE
 
     def _decode(self, payload, wdt, count, dims):
         width = wdt.itemsize * 8
         padded = -(-count // _CHUNK) * _CHUNK
-        nchunks = padded // _CHUNK
-        nmap = (padded + 7) // 8
-        nonzero = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, count=nmap), count=padded
-        ).astype(bool)
-        nz_words = np.frombuffer(
-            payload, dtype=wdt, count=int(nonzero.sum()), offset=nmap
-        )
-        flat = np.zeros(padded, dtype=wdt)
-        flat[nonzero] = nz_words
-        tw = lag_sum(flat.reshape(nchunks, -1), 1, (1,))
-        res = transpose_groups(tw.reshape(-1, width), width).reshape(nchunks, _CHUNK)
-        mat = lag_sum(res, _LAG, (1,))
+        tw = lag_sum(restore_zero_words(payload, padded, wdt).reshape(-1, _CHUNK), 1, (1,))
+        res = bit_transpose(tw.reshape(-1, width).view(np.uint8), width, width)
+        mat = lag_sum(res.view(wdt).reshape(tw.shape), _LAG, (1,))
         return mat.reshape(-1)[:count]

@@ -14,8 +14,8 @@ Workflow reproduced from Knorr et al. 2021:
    negative residuals from filling the high bit planes with sign-extension
    ones), then grouped into chunks of 32 (single) or 64 (double) values
    and **bit-transposed** so equal-significance bits share words.
-4. **Zero words are removed**: each chunk gets a 32/64-bit bitmap header
-   marking which transposed words are non-zero; non-zero words follow.
+4. **Zero words are removed**: a bitmap with one bit per transposed word
+   (32/64 bits per chunk) marks the non-zero words, which follow it.
 
 CPU and GPU implementations share this exact pipeline in the paper (§4.4:
 "the algorithm remains the same"); here both registry entries call the
@@ -30,10 +30,9 @@ import math
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import transpose_groups
+from repro.core.bitio import bit_transpose, drop_zero_words, restore_zero_words
 from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
-_BLOCK = 4096
 _SIDE = {1: (4096,), 2: (64, 64), 3: (16, 16, 16)}
 
 
@@ -51,39 +50,18 @@ def _tile_info(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return side, tiles
 
 
-def _split_blocks(arr: np.ndarray, side, tiles):
-    """Extract full hypercube tiles -> (nblocks, *side); return tail mask too."""
-    mask = np.zeros(arr.shape, dtype=bool)
-    crop = tuple(slice(0, t * s) for t, s in zip(tiles, side))
-    mask[crop] = True
-    if not all(tiles):
-        blocks = np.zeros((0,) + tuple(side), dtype=arr.dtype)
-        mask[...] = False
-        return blocks, mask
-    sub = arr[crop]
+def _layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Block side, then the flat indices of the tiled cells (tile by tile,
+    each tile in C order) and of the untiled tail cells (in C order)."""
+    side, tiles = _tile_info(dims)
+    shape = tuple(dims) if len(side) == len(dims) else (math.prod(dims),)
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    crop = idx[tuple(slice(0, t * s) for t, s in zip(tiles, side))]
     d = len(side)
-    shape = []
-    for t, s in zip(tiles, side):
-        shape += [t, s]
-    sub = sub.reshape(shape)
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    blocks = sub.transpose(order).reshape((-1,) + tuple(side))
-    return np.ascontiguousarray(blocks), mask
-
-
-def _join_blocks(blocks: np.ndarray, side, tiles, out: np.ndarray) -> None:
-    """Inverse of :func:`_split_blocks` into the cropped region of ``out``."""
-    if not all(tiles):
-        return
-    d = len(side)
-    shape = tuple(tiles) + tuple(side)
-    arr = blocks.reshape(shape)
-    order = []
-    for i in range(d):
-        order += [i, d + i]
-    arr = arr.transpose(order).reshape(tuple(t * s for t, s in zip(tiles, side)))
-    crop = tuple(slice(0, t * s) for t, s in zip(tiles, side))
-    out[crop] = arr
+    # (t0, s0, t1, s1, ...) -> (t0, t1, ..., s0, s1, ...)
+    split = crop.reshape([n for ts in zip(tiles, side) for n in ts])
+    tiled = split.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(-1)
+    return side, tiled, np.delete(idx.reshape(-1), tiled)
 
 
 class _NdzipBase(Codec):
@@ -92,57 +70,33 @@ class _NdzipBase(Codec):
             return b""
         dt = words.dtype
         width = dt.itemsize * 8
-        side, tiles = _tile_info(dims)
-        arr = to_ordered(words).reshape(tuple(dims) if len(side) == len(dims) else (-1,))
-        blocks, mask = _split_blocks(arr, side, tiles)
-        tail = arr[~mask]
-        if blocks.shape[0]:
-            res = lag_diff(blocks, 1, range(1, blocks.ndim)).reshape(-1)
-            signed = res.view(np.int32 if width == 32 else np.int64)
-            res = zigzag(signed, width).reshape(-1, width)
-            tw = transpose_groups(res, width)
-            nonzero = tw != 0
-            bitmaps = np.packbits(nonzero, axis=1)
-            body = np.ascontiguousarray(tw[nonzero])
-            enc = bitmaps.tobytes() + body.tobytes()
-        else:
-            enc = b""
-        return len(enc).to_bytes(8, "little") + enc + tail.tobytes()
+        side, tiled, tail = _layout(dims)
+        ordered = to_ordered(words)
+        blocks = ordered[tiled].reshape((-1,) + side)
+        res = lag_diff(blocks, 1, range(1, blocks.ndim)).reshape(-1)
+        zz = zigzag(res.view(np.int32 if width == 32 else np.int64), width)
+        # each group of `width` residuals is a width x width bit matrix
+        tw = bit_transpose(zz.reshape(-1, width).view(np.uint8), width, width)
+        enc = drop_zero_words(tw.view(dt))
+        return len(enc).to_bytes(8, "little") + enc + ordered[tail].tobytes()
 
     def _decode(self, payload, wdt, count, dims):
         width = wdt.itemsize * 8
-        side, tiles = _tile_info(dims)
-        shape = tuple(dims) if len(side) == len(dims) else (int(np.prod(dims)),)
         enc_len = int.from_bytes(payload[:8], "little")
         enc = payload[8 : 8 + enc_len]
         tail_buf = payload[8 + enc_len :]
-        nblocks = math.prod(tiles) if all(tiles) else 0
-        groups = nblocks * (_BLOCK // width)
-        mapbytes = groups * (width // 8)  # one bitmap bit per transposed word
-        tail_n = math.prod(shape) - nblocks * _BLOCK
-        if math.prod(shape) != count or mapbytes > len(enc) or tail_n * wdt.itemsize > len(tail_buf):
+        # a tiled cell takes at least its bitmap bit, a tail cell its word;
+        # checked before the index map of ``count`` cells is built
+        if math.prod(dims) != count or count > 8 * len(enc) + len(tail_buf) // wdt.itemsize:
             raise ValueError(f"count {count} exceeds what {len(payload)} ndzip bytes hold")
-        out = np.zeros(shape, dtype=wdt)
-        mask = np.zeros(shape, dtype=bool)
-        if nblocks:
-            bitmaps = np.frombuffer(enc, dtype=np.uint8, count=mapbytes)
-            nonzero = np.unpackbits(bitmaps.reshape(groups, -1), axis=1).astype(bool)
-            nz = np.frombuffer(
-                enc, dtype=wdt, count=int(nonzero.sum()), offset=mapbytes
-            )
-            tw = np.zeros((groups, width), dtype=wdt)
-            tw[nonzero] = nz
-            zz = transpose_groups(tw, width).reshape(-1)
-            res = (
-                unzigzag(zz, width).view(wdt).reshape((nblocks,) + tuple(side))
-            )
-            blocks = lag_sum(res, 1, range(1, res.ndim))
-            crop = tuple(slice(0, t * s) for t, s in zip(tiles, side))
-            mask[crop] = True
-            _join_blocks(blocks, side, tiles, out)
-        tail = np.frombuffer(tail_buf, dtype=wdt, count=tail_n)
-        out[~mask] = tail
-        return from_ordered(out.reshape(-1))
+        side, tiled, tail = _layout(dims)
+        tw = restore_zero_words(enc, tiled.size, wdt).reshape(-1, width)
+        zz = bit_transpose(tw.view(np.uint8), width, width).view(wdt)
+        res = unzigzag(zz, width).view(wdt).reshape((-1,) + side)
+        out = np.empty(count, dtype=wdt)
+        out[tiled] = lag_sum(res, 1, range(1, res.ndim)).reshape(-1)
+        out[tail] = np.frombuffer(tail_buf, dtype=wdt, count=tail.size)
+        return from_ordered(out)
 
 
 @register

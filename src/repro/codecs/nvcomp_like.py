@@ -9,7 +9,7 @@ paper reports:
   among the GPU methods, slowest GPU compression (branch divergence),
   much faster decompression than compression.
 * **nv::btcomp** — bitcomp's profile is "delta + bit-packing, fastest
-  method, lowest CR". Simulated as: per 4096-value block, wrapping delta,
+  method, lowest CR". Simulated as: per 512-value block, wrapping delta,
   zigzag, then fixed-width packing at the block's max significant width
   rounded to whole bytes (pure ndarray slicing — the fastest codec here,
   as bitcomp is on the GPU — at the cost of a slightly lower CR, which is
@@ -67,7 +67,7 @@ class NvBitcomp(Codec):
         zzp = np.concatenate([zz, np.zeros(pad, dtype=np.uint64)]).reshape(-1, _BC_BLOCK)
         nblocks = zzp.shape[0]
         # each block's first value is stored raw (it carries the cross-block
-        # delta, often large); only the 4095 intra-block residuals drive the
+        # delta, often large); only the 511 intra-block residuals drive the
         # byte-rounded packing width — a constant block packs to width 0
         rest = zzp[:, 1:]
         bits = bit_length_u64(rest.max(axis=1)).astype(np.int64)

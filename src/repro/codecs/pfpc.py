@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import pack_bits, pack_bytes, unpack_bits, unpack_bytes
+from repro.core.bitio import pack_bits, unpack_bits
 from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
 _TBITS = 16  # 2^16-entry predictor tables, as FPC's default scale
@@ -115,8 +115,8 @@ class PFPC(Codec):
             head = pack_bits(
                 np.array(codes, dtype=np.uint64), np.full(len(codes), 4, np.int64)
             )
-            body = pack_bytes(
-                np.array(resids, dtype=np.uint64), np.array(nzbs, dtype=np.int64)
+            body = pack_bits(
+                np.array(resids, dtype=np.uint64), 8 * np.array(nzbs, dtype=np.int64)
             )
             out += np.uint64(hi - lo).tobytes()
             out += np.uint64(len(head)).tobytes()
@@ -144,8 +144,7 @@ class PFPC(Codec):
             codes = unpack_bits(head, np.full(cn, 4, np.int64)).astype(np.int64)
             lzb3 = (codes & 7).astype(np.int64)
             lzb = np.where(lzb3 >= 4, lzb3 + 1, lzb3)
-            nzb = 8 - lzb
-            resids = unpack_bytes(body, nzb)
+            resids = unpack_bits(body, 8 * (8 - lzb))
             parts.append(_decompress_chunk(codes, resids))
         if total != n:
             raise ValueError(f"pFPC chunks hold {total} words, not the {n} of count {count}")

@@ -1,4 +1,4 @@
-"""Vectorized bit- and byte-stream primitives shared by all codecs.
+"""Vectorized bit-stream and layout primitives shared by all codecs.
 
 Conventions
 -----------
@@ -8,6 +8,10 @@ Conventions
 * ``pack_bits``/``unpack_bits`` are fully vectorized. Formats whose widths
   are only discovered during decode (Gorilla, Chimp, Huffman) first find
   where every field starts, then extract them all with ``read_bits_at``.
+  Byte-aligned fields (GFC's and pFPC's significant residual bytes) are
+  ``pack_bits`` fields of ``8 * nbytes`` bits.
+* The shared layout stages have one copy each: ``bit_transpose`` and the
+  ``drop_zero_words``/``restore_zero_words`` pair.
 * Values are carried as ``uint64`` regardless of the source precision.
 """
 from __future__ import annotations
@@ -30,11 +34,6 @@ def bit_length_u64(x: np.ndarray) -> np.ndarray:
     lo = (v & _U64(0xFFFFFFFF)).astype(np.float64)
     n = np.where(hi > 0, np.frexp(hi)[1] + 32, np.frexp(lo)[1])
     return n.astype(np.uint8)
-
-
-def leading_zeros(x: np.ndarray, width: int) -> np.ndarray:
-    """Count of leading zero bits in ``width``-bit words (width for x==0)."""
-    return (width - bit_length_u64(x)).astype(np.int64)
 
 
 def trailing_zeros(x: np.ndarray, width: int) -> np.ndarray:
@@ -120,84 +119,41 @@ def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray
     return read_bits_at(buf, ends - nb, nb)
 
 
-def pack_bytes(vals: np.ndarray, nbytes: np.ndarray) -> bytes:
-    """Concatenate the low ``nbytes[i]`` bytes of each value, MSB-first."""
-    vals = np.ascontiguousarray(vals, dtype=_U64)
-    nb = np.ascontiguousarray(nbytes, dtype=np.int64)
-    if vals.size == 0:
-        return b""
-    total = int(nb.sum())
-    out = np.zeros(total, dtype=np.uint8)
-    pos = 0
-    j = np.arange(8, dtype=np.int64)
-    chunk = 1 << 17
-    for s in range(0, vals.size, chunk):
-        v = vals[s : s + chunk][:, None]
-        n = nb[s : s + chunk][:, None]
-        sh = (np.maximum(n - 1 - j[None, :], 0) * 8).astype(_U64)
-        bts = ((v >> sh) & _U64(0xFF)).astype(np.uint8)
-        valid = j[None, :] < n
-        picked = bts[valid]
-        out[pos : pos + picked.size] = picked
-        pos += picked.size
-    return out.tobytes()
+def bit_transpose(rows_u8: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Transpose the ``rows x cols`` bit matrix each uint8 row holds, MSB-first.
 
-
-def unpack_bytes(buf: bytes, nbytes: np.ndarray, start_byte: int = 0) -> np.ndarray:
-    """Vectorized inverse of :func:`pack_bytes` for known per-value byte counts."""
-    nb = np.ascontiguousarray(nbytes, dtype=np.int64)
-    if nb.size == 0:
-        return np.zeros(0, dtype=_U64)
-    ends = start_byte + np.cumsum(nb)
-    starts = ends - nb
-    if int(ends[-1]) > len(buf):
-        raise ValueError("bytestream truncated")
-    b = np.frombuffer(buf, dtype=np.uint8)
-    bp = np.concatenate([b, np.zeros(8, dtype=np.uint8)])
-    window = bp[starts[:, None] + np.arange(8)].astype(_U64)
-    acc = np.zeros(nb.size, dtype=_U64)
-    for k in range(8):
-        acc |= window[:, k] << _U64(56 - 8 * k)
-    with np.errstate(all="ignore"):
-        res = acc >> ((_U64(8) - nb.astype(_U64)) * _U64(8))
-    return np.where(nb == 0, _U64(0), res)
-
-
-def bitshuffle_bits(raw: np.ndarray, elem_bits: int) -> np.ndarray:
-    """Bit-level transpose of a uint8 buffer holding fixed-width elements.
-
-    The buffer is an ``(m, elem_bits)`` bit matrix (m elements, in memory
-    byte order); the transpose groups the i-th bit of every element into
-    consecutive bytes. ``m`` must make ``m * elem_bits`` divisible by 8,
-    which all callers guarantee by padding blocks. Self-inverse apart from
-    the matrix shape, so :func:`bitunshuffle_bits` is the paired inverse.
+    The last axis of ``rows_u8`` is one matrix of ``rows * cols`` bits (a
+    multiple of 8); leading axes batch matrices. Bit ``(i, j)`` moves to
+    ``(j, i)``, so ``bit_transpose(out, cols, rows)`` is the inverse. This
+    is the bit transpose of bitshuffle (elements x element bits), of MPC's
+    BIT stage and of ndzip (``width`` words of ``width`` bits each).
+    Raises ``ValueError`` if a row does not hold ``rows * cols`` bits.
     """
-    raw = np.ascontiguousarray(raw, dtype=np.uint8)
-    total_bits = raw.size * 8
-    m = total_bits // elem_bits
-    bits = np.unpackbits(raw).reshape(m, elem_bits)
-    return np.packbits(bits.T.reshape(-1))
+    a = np.asarray(rows_u8, dtype=np.uint8)
+    lead = a.shape[:-1]
+    bits = np.unpackbits(a, axis=-1).reshape(lead + (rows, cols))
+    return np.packbits(bits.swapaxes(-1, -2).reshape(lead + (rows * cols,)), axis=-1)
 
 
-def bitunshuffle_bits(shuffled: np.ndarray, elem_bits: int) -> np.ndarray:
-    """Inverse of :func:`bitshuffle_bits`."""
-    shuffled = np.ascontiguousarray(shuffled, dtype=np.uint8)
-    total_bits = shuffled.size * 8
-    m = total_bits // elem_bits
-    bits = np.unpackbits(shuffled).reshape(elem_bits, m)
-    return np.packbits(bits.T.reshape(-1))
+def drop_zero_words(words: np.ndarray) -> bytes:
+    """Zero-word elision: an MSB-first bitmap marking the non-zero entries
+    of ``words`` (in C order), then those words. MPC's ZE stage and
+    ndzip's zero-word removal."""
+    nonzero = words != 0
+    return np.packbits(nonzero).tobytes() + words[nonzero].tobytes()
 
 
-def transpose_groups(vals: np.ndarray, width: int) -> np.ndarray:
-    """Batched bit transpose of (G, width) word groups (self-inverse).
+def restore_zero_words(buf: bytes, n: int, dtype) -> np.ndarray:
+    """The ``n`` words that :func:`drop_zero_words` wrote to ``buf``.
 
-    The bit-transpose stage of ndzip and of MPC's BIT component.
+    Raises ``ValueError`` if ``buf`` cannot hold the bitmap or the words
+    it marks; the bitmap is checked first, so a forged ``n`` cannot make
+    this allocate more than ``8 * len(buf)`` words.
     """
-    g = vals.shape[0]
-    if g == 0:
-        return vals
-    bits = np.unpackbits(vals.view(np.uint8).reshape(g, -1), axis=1)
-    bits = bits.reshape(g, width, width)
-    bits = bits.transpose(0, 2, 1)
-    packed = np.packbits(bits.reshape(g, -1), axis=1)
-    return np.ascontiguousarray(packed).view(vals.dtype).reshape(g, width)
+    nmap = (n + 7) // 8
+    if nmap > len(buf):
+        raise ValueError(f"{n} words need a {nmap}-byte bitmap; {len(buf)} bytes given")
+    nonzero = np.unpackbits(np.frombuffer(buf, np.uint8, count=nmap), count=n).astype(bool)
+    out = np.zeros(n, dtype=dtype)
+    out[nonzero] = np.frombuffer(buf, dtype=dtype, count=int(nonzero.sum()), offset=nmap)
+    return out

@@ -25,7 +25,7 @@ import heapq
 import time
 from functools import partial
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 import pandas as pd
@@ -58,6 +58,19 @@ RESULT_SCHEMA = StructType(
 )
 
 
+_T = TypeVar("_T")
+
+
+def _best_of(runs: int, fn: Callable[[], _T]) -> tuple[_T, int]:
+    """The result of ``fn()`` and its fastest wall time in ns over ``runs`` calls."""
+    best = 2**63 - 1
+    for _ in range(runs):
+        t0 = time.perf_counter_ns()
+        out = fn()
+        best = min(best, time.perf_counter_ns() - t0)
+    return out, best
+
+
 def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     """Compress, decompress and verify ``arr`` with ``method``, timing both:
     the measured fields of one result row. Failures are recorded, not raised."""
@@ -71,23 +84,14 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     }
     try:
         codec = load_codec(method)
-        reps = max(int(repeats), 1)
-        comp_ns = decomp_ns = 2**63 - 1
-        blob = b""
-        for _ in range(reps):  # paper: repeated runs, best-of kept stable
-            t0 = time.perf_counter_ns()
-            blob = codec.compress(arr, dims=dims)
-            comp_ns = min(comp_ns, time.perf_counter_ns() - t0)
-        out_arr = np.zeros(0)
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            out_arr = codec.decompress(blob)
-            decomp_ns = min(decomp_ns, time.perf_counter_ns() - t0)
+        reps = max(int(repeats), 1)  # paper: repeated runs, best-of kept stable
+        blob, comp_ns = _best_of(reps, lambda: codec.compress(arr, dims=dims))
+        out_arr, decomp_ns = _best_of(reps, lambda: codec.decompress(blob))
         ok = bool(np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8)))
         rec.update(
             comp_bytes=len(blob),
-            comp_ns=int(comp_ns),
-            decomp_ns=int(decomp_ns),
+            comp_ns=comp_ns,
+            decomp_ns=decomp_ns,
             ok=ok,
             error=None if ok else "roundtrip mismatch",
         )
@@ -262,6 +266,8 @@ def failures(results: DataFrame) -> DataFrame:
 #: Tables 7/8 cut the msg-bt analog into 256 KiB chunks.
 _SCALING_DATASET = "msg-bt"
 _SCALING_CHUNK_BYTES = 1 << 18
+#: Each (method, partitions) job is timed this many times; the best is kept.
+_SCALING_RUNS = 3
 
 
 def scaling_benchmark(
@@ -276,11 +282,12 @@ def scaling_benchmark(
 
     The dataset is cut into fixed chunks; for each partition count the
     codec is mapped over the chunks in ``p`` slices, one compress job and
-    one decompress job, and their *wall-clock* times taken — the speedup
-    therefore includes scheduler overhead and core saturation exactly as
-    the paper's thread sweeps include pthread overhead (efficiency declines
-    past the core count). ``parallelize`` ships each task only its own
-    slice, so every job is one stage with no shuffle.
+    one decompress job, each run ``_SCALING_RUNS`` times, and their best
+    *wall-clock* times taken — the speedup therefore includes scheduler
+    overhead and core saturation exactly as the paper's thread sweeps
+    include pthread overhead (efficiency declines past the core count).
+    ``parallelize`` ships each task only its own slice, so every job is
+    one stage with no shuffle.
     """
     arr = generate(get_spec(_SCALING_DATASET), scale)
     chunks = blocks(arr, _SCALING_CHUNK_BYTES)
@@ -295,21 +302,18 @@ def scaling_benchmark(
 
     rows = []
     for p in partition_counts:
-        rdd = sc.parallelize(chunks, p)
-        t0 = time.perf_counter()
-        n = rdd.map(codec.compress).count()
-        wall_c = time.perf_counter() - t0
+        comp = sc.parallelize(chunks, p).map(codec.compress)
+        n, comp_ns = _best_of(_SCALING_RUNS, comp.count)
         assert n == len(chunks)
-        rdd = sc.parallelize(comp_chunks, p)
-        t0 = time.perf_counter()
-        nbytes = rdd.map(lambda b: codec.decompress(b).nbytes).sum()
-        wall_d = time.perf_counter() - t0
+        decomp = sc.parallelize(comp_chunks, p).map(lambda b: codec.decompress(b).nbytes)
+        nbytes, decomp_ns = _best_of(_SCALING_RUNS, decomp.sum)
         assert nbytes == total
+        # bytes per ns * 1e3 = MB/s
         rows.append(
             {
                 "partitions": p,
-                "comp_mbs": total / wall_c / 1e6,
-                "decomp_mbs": total / wall_d / 1e6,
+                "comp_mbs": total / comp_ns * 1e3,
+                "decomp_mbs": total / decomp_ns * 1e3,
             }
         )
     out = pd.DataFrame(rows)

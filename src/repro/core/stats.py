@@ -130,10 +130,8 @@ _NEMENYI_Q05 = {
 }
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
-    """Critical difference of average ranks (post-hoc Nemenyi, §2.4)."""
-    if alpha != 0.05:
-        raise ValueError("only alpha=0.05 critical values are tabulated")
+def nemenyi_cd(k: int, n: int) -> float:
+    """Critical difference of average ranks at alpha = 0.05 (post-hoc Nemenyi, §2.4)."""
     q = _NEMENYI_Q05[k]
     return q * math.sqrt(k * (k + 1) / (6.0 * n))
 

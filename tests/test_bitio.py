@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized bit/byte stream primitives."""
+"""Unit tests for the vectorized bit-stream and layout primitives."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.bitio import (
     bit_length_u64,
-    bitshuffle_bits,
-    bitunshuffle_bits,
-    leading_zeros,
+    bit_transpose,
+    drop_zero_words,
     pack_bits,
-    pack_bytes,
+    restore_zero_words,
     trailing_zeros,
     unpack_bits,
-    unpack_bytes,
 )
 
 
@@ -46,14 +44,6 @@ class TestBitLength:
 
 
 class TestLeadingTrailing:
-    def test_leading_zeros_64(self):
-        vals = np.array([0, 1, 2**63, 2**32], dtype=np.uint64)
-        assert leading_zeros(vals, 64).tolist() == [64, 63, 0, 31]
-
-    def test_leading_zeros_32(self):
-        vals = np.array([0, 1, 2**31], dtype=np.uint64)
-        assert leading_zeros(vals, 32).tolist() == [32, 31, 0]
-
     def test_trailing_zeros(self):
         vals = np.array([0, 1, 2, 8, 2**63], dtype=np.uint64)
         assert trailing_zeros(vals, 64).tolist() == [64, 0, 1, 3, 63]
@@ -153,35 +143,79 @@ class TestPackUnpackBits:
 
 
 class TestPackUnpackBytes:
+    """Byte-aligned fields are pack_bits fields of 8 * nbytes bits."""
+
     def test_roundtrip(self):
         g = np.random.default_rng(3)
         vals = g.integers(0, 2**63, 300, dtype=np.uint64)
         nbytes = g.integers(0, 9, 300)
         mask = np.where(nbytes == 8, np.uint64(0xFFFFFFFFFFFFFFFF), (np.uint64(1) << (nbytes.astype(np.uint64) * np.uint64(8))) - np.uint64(1))
-        buf = pack_bytes(vals, nbytes)
+        buf = pack_bits(vals, 8 * nbytes)
         assert len(buf) == nbytes.sum()
-        np.testing.assert_array_equal(unpack_bytes(buf, nbytes), vals & mask)
+        np.testing.assert_array_equal(unpack_bits(buf, 8 * nbytes), vals & mask)
 
     def test_byte_order_msb_first(self):
-        buf = pack_bytes(np.array([0x0102], np.uint64), np.array([2]))
+        buf = pack_bits(np.array([0x0102], np.uint64), np.array([16]))
         assert buf == bytes([0x01, 0x02])
 
     def test_start_byte(self):
-        buf = b"\xff" + pack_bytes(np.array([0xAB], np.uint64), np.array([1]))
-        assert unpack_bytes(buf, np.array([1]), start_byte=1)[0] == 0xAB
+        buf = b"\xff" + pack_bits(np.array([0xAB], np.uint64), np.array([8]))
+        assert unpack_bits(buf, np.array([8]), start_bit=8)[0] == 0xAB
 
 
 class TestBitShuffleBits:
+    """bit_transpose: the bit shuffle of bitshuffle, MPC and ndzip."""
+
     @pytest.mark.parametrize("elem_bits", [8, 16, 32, 64])
     def test_roundtrip(self, elem_bits):
         g = np.random.default_rng(5)
         raw = g.integers(0, 256, 64 * elem_bits // 8, dtype=np.uint8)
-        out = bitunshuffle_bits(bitshuffle_bits(raw, elem_bits), elem_bits)
-        np.testing.assert_array_equal(out, raw)
+        shuffled = bit_transpose(raw, 64, elem_bits)
+        assert shuffled.shape == raw.shape
+        np.testing.assert_array_equal(bit_transpose(shuffled, elem_bits, 64), raw)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_word_groups_roundtrip(self, dtype):
+        # batched (w, w) word groups, as MPC and ndzip transpose them
+        w = np.dtype(dtype).itemsize * 8
+        g = np.random.default_rng(6)
+        words = g.integers(0, 2**w, (5, w), dtype=dtype)
+        once = bit_transpose(words.view(np.uint8), w, w)
+        assert once.shape == (5, w * w // 8)
+        assert not np.array_equal(once.view(dtype), words)
+        np.testing.assert_array_equal(bit_transpose(once, w, w).view(dtype), words)
 
     def test_groups_msb_bits(self):
         # Two identical bytes 0xF0: transposed stream has the high-bit plane
         # first => first byte is 0b11...
         raw = np.array([0xF0, 0xF0], dtype=np.uint8)
-        shuffled = bitshuffle_bits(raw, 8)
+        shuffled = bit_transpose(raw, 2, 8)
         assert np.unpackbits(shuffled)[:2].tolist() == [1, 1]
+
+    def test_wrong_row_size_raises(self):
+        with pytest.raises(ValueError):
+            bit_transpose(np.zeros(3, np.uint8), 8, 8)
+
+
+class TestZeroWords:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_roundtrip(self, dtype):
+        g = np.random.default_rng(7)
+        words = g.integers(0, 4, 1001).astype(dtype) * dtype(2**31)
+        buf = drop_zero_words(words)
+        nz = np.count_nonzero(words)
+        assert len(buf) == (words.size + 7) // 8 + nz * words.itemsize
+        np.testing.assert_array_equal(restore_zero_words(buf, words.size, dtype), words)
+
+    def test_bitmap_msb_first(self):
+        words = np.array([5, 0, 0, 0, 0, 0, 0, 0, 7], np.uint32)
+        buf = drop_zero_words(words)
+        assert buf[:2] == bytes([0b10000000, 0b10000000])
+        assert np.frombuffer(buf[2:], np.uint32).tolist() == [5, 7]
+
+    def test_truncated_bitmap_raises(self):
+        buf = drop_zero_words(np.arange(64, dtype=np.uint64))
+        with pytest.raises(ValueError, match="bitmap"):
+            restore_zero_words(buf[:7], 64, np.uint64)
+        with pytest.raises(ValueError):
+            restore_zero_words(buf[:-1], 64, np.uint64)  # bitmap whole, words cut
