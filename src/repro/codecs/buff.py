@@ -3,9 +3,9 @@
 Workflow: split each value into integer and fractional parts, keep only
 the mantissa bits the target decimal precision needs (Table 2), subtract
 the minimum, and store the fixed-width results byte-padded as
-*sub-columns* (byte 0 of every value contiguous, then byte 1, …), which
-enables predicate evaluation directly on the encoded bytes with
-early-exit per sub-column (the paper's 35–50× selective-filter speedup).
+*sub-columns* (byte 0 of every value contiguous, then byte 1, …), the
+layout BUFF evaluates predicates on without decoding. FCBench measures
+compression only, so no query on the encoded bytes is implemented here.
 
 Lossless operation requires the data's decimal precision: the encoder
 scans for the smallest precision 0–10 that represents every value
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, CodecFailure, MethodInfo, parse_envelope, register
+from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
 from repro.core.bitio import bit_length_u64
 from repro.core.floatmap import from_words, to_words
 
@@ -94,6 +94,8 @@ class BUFF(Codec):
         return np.round(v, p).astype(dtype)
 
     def _decode(self, payload, wdt, count, dims):
+        if len(payload) < 12:
+            raise ValueError(f"BUFF payload of {len(payload)} bytes is shorter than its header")
         mode, p, f, k = payload[0], payload[1], payload[2], payload[3]
         if mode == _RAW:
             return np.frombuffer(payload, dtype=wdt, count=count, offset=12)
@@ -115,55 +117,3 @@ class BUFF(Codec):
         for j in range(k):
             delta |= cols[j].astype(np.uint64) << np.uint64(8 * (k - 1 - j))
         return delta
-
-    # --- query on encoded data (the paper's byte-column pattern match) ---
-    def query_eq(self, blob: bytes, value: float) -> np.ndarray:
-        """Evaluate ``x == value`` directly on sub-columns with early skip."""
-        mask, cols, target = self._query_setup(blob, value)
-        if mask is None:
-            return cols  # raw-mode fallback already produced the answer
-        for j in range(cols.shape[0]):  # sub-column at a time, skipping
-            alive = np.flatnonzero(mask)
-            if alive.size == 0:
-                break
-            mask[alive] = cols[j, alive] == target[j]
-        return mask
-
-    def query_le(self, blob: bytes, value: float) -> np.ndarray:
-        """Evaluate ``x <= value`` on the big-endian sub-columns."""
-        setup = self._query_setup(blob, value, allow_oob="le")
-        mask, cols, target = setup
-        if mask is None:
-            return cols
-        n = cols.shape[1]
-        lt = np.zeros(n, dtype=bool)
-        eq = np.ones(n, dtype=bool)
-        for j in range(cols.shape[0]):  # lexicographic compare, short-circuit
-            alive = eq & ~lt
-            lt[alive] = cols[j, alive] < target[j]
-            eq[alive] &= cols[j, alive] == target[j]
-        return lt | eq
-
-    def _query_setup(self, blob: bytes, value: float, allow_oob: str = "eq"):
-        dtype, count, _, payload = parse_envelope(blob)
-        if count == 0 or payload[0] == _RAW:  # nothing packed: decode and compare
-            arr = self.decompress(blob)
-            op = np.equal if allow_oob == "eq" else np.less_equal
-            return None, op(arr, np.array(value).astype(dtype)), None
-        f, k = payload[2], payload[3]
-        qmin = int(np.frombuffer(payload, np.int64, 1, 4)[0])
-        nexc = int(np.frombuffer(payload, np.uint32, 1, 12)[0])
-        data_off = 16 + (4 + dtype.itemsize) * nexc
-        cols = np.frombuffer(payload, np.uint8, count * k, data_off).reshape(k, count)
-        scale = float(1 << f) if f else 1.0
-        qv = int(np.rint(value * scale)) - qmin
-        limit = (1 << (8 * k)) - 1
-        if qv < 0 or qv > limit:  # out of encoded range
-            full = np.zeros(count, dtype=bool)
-            if allow_oob == "le" and qv > limit:
-                full[:] = True
-            return None, full, None
-        target = np.array(
-            [(qv >> (8 * (k - 1 - j))) & 0xFF for j in range(k)], dtype=np.uint8
-        )
-        return np.ones(count, dtype=bool), cols, target

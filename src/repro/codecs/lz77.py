@@ -87,46 +87,53 @@ def _emit(out: bytearray, data: bytes, anchor: int, i: int, off: int, mlen: int)
 
 
 def lz_decompress(blob: bytes) -> bytes:
-    """Inverse of :func:`lz_compress`."""
+    """Inverse of :func:`lz_compress`.
+
+    Raises ``ValueError`` for a stream cut inside a length extension and
+    for a match offset outside the bytes decoded so far.
+    """
     blob = bytes(blob)
     n = len(blob)
     out = bytearray()
     p = 0
-    while p < n:
-        token = blob[p]
-        p += 1
-        ll = token >> 4
-        if ll == 15:
-            while True:
-                b = blob[p]
-                p += 1
-                ll += b
-                if b < 255:
-                    break
-        out += blob[p : p + ll]
-        p += ll
-        if p >= n:  # final literal-only sequence
-            break
-        off = int.from_bytes(blob[p : p + 2], "little")
-        p += 2
-        ml = (token & 0xF) + _MIN_MATCH
-        if (token & 0xF) == 15:
-            while True:
-                b = blob[p]
-                p += 1
-                ml += b
-                if b < 255:
-                    break
-        if not 0 < off <= len(out):
-            raise ValueError(f"LZ77 match offset {off} outside the {len(out)} bytes decoded")
-        start = len(out) - off
-        # an overlapping copy repeats the last ``off`` bytes: append all
-        # that lies past ``start``, doubling it, until the rest fits
-        while ml > off:
-            out += out[start:]
-            ml -= off
-            off *= 2
-        out += out[start : start + ml]
+    try:  # no bounds check per byte: a cut stream indexes past its end
+        while p < n:
+            token = blob[p]
+            p += 1
+            ll = token >> 4
+            if ll == 15:
+                while True:
+                    b = blob[p]
+                    p += 1
+                    ll += b
+                    if b < 255:
+                        break
+            out += blob[p : p + ll]
+            p += ll
+            if p >= n:  # final literal-only sequence
+                break
+            off = int.from_bytes(blob[p : p + 2], "little")
+            p += 2
+            ml = (token & 0xF) + _MIN_MATCH
+            if (token & 0xF) == 15:
+                while True:
+                    b = blob[p]
+                    p += 1
+                    ml += b
+                    if b < 255:
+                        break
+            if not 0 < off <= len(out):
+                raise ValueError(f"LZ77 match offset {off} outside the {len(out)} bytes decoded")
+            start = len(out) - off
+            # an overlapping copy repeats the last ``off`` bytes: append all
+            # that lies past ``start``, doubling it, until the rest fits
+            while ml > off:
+                out += out[start:]
+                ml -= off
+                off *= 2
+            out += out[start : start + ml]
+    except IndexError:
+        raise ValueError("LZ77 stream ends inside a length extension") from None
     return bytes(out)
 
 

@@ -22,10 +22,9 @@ rows per method, in :mod:`repro.core.tables`. Tables 7/8
 from __future__ import annotations
 
 import heapq
-import time
 from functools import partial
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -40,6 +39,7 @@ from pyspark.sql.types import (
 )
 
 from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, load_codec
+from repro.core.metrics import best_of
 from repro.data.corpus import blocks, corpus, generate, get_spec
 
 RESULT_SCHEMA = StructType(
@@ -58,19 +58,6 @@ RESULT_SCHEMA = StructType(
 )
 
 
-_T = TypeVar("_T")
-
-
-def _best_of(runs: int, fn: Callable[[], _T]) -> tuple[_T, int]:
-    """The result of ``fn()`` and its fastest wall time in ns over ``runs`` calls."""
-    best = 2**63 - 1
-    for _ in range(runs):
-        t0 = time.perf_counter_ns()
-        out = fn()
-        best = min(best, time.perf_counter_ns() - t0)
-    return out, best
-
-
 def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     """Compress, decompress and verify ``arr`` with ``method``, timing both:
     the measured fields of one result row. Failures are recorded, not raised."""
@@ -85,8 +72,8 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     try:
         codec = load_codec(method)
         reps = max(int(repeats), 1)  # paper: repeated runs, best-of kept stable
-        blob, comp_ns = _best_of(reps, lambda: codec.compress(arr, dims=dims))
-        out_arr, decomp_ns = _best_of(reps, lambda: codec.decompress(blob))
+        blob, comp_ns = best_of(reps, lambda: codec.compress(arr, dims=dims))
+        out_arr, decomp_ns = best_of(reps, lambda: codec.decompress(blob))
         ok = bool(np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8)))
         rec.update(
             comp_bytes=len(blob),
@@ -266,7 +253,8 @@ def failures(results: DataFrame) -> DataFrame:
 #: Tables 7/8 cut the msg-bt analog into 256 KiB chunks.
 _SCALING_DATASET = "msg-bt"
 _SCALING_CHUNK_BYTES = 1 << 18
-#: Each (method, partitions) job is timed this many times; the best is kept.
+#: Each (method, partitions) job is timed once per round over all the
+#: partition counts, this many rounds; the best is kept.
 _SCALING_RUNS = 3
 
 
@@ -282,10 +270,11 @@ def scaling_benchmark(
 
     The dataset is cut into fixed chunks; for each partition count the
     codec is mapped over the chunks in ``p`` slices, one compress job and
-    one decompress job, each run ``_SCALING_RUNS`` times, and their best
-    *wall-clock* times taken — the speedup therefore includes scheduler
-    overhead and core saturation exactly as the paper's thread sweeps
-    include pthread overhead (efficiency declines past the core count).
+    one decompress job. Every job runs once per round, ``_SCALING_RUNS``
+    rounds over all the counts, and its best *wall-clock* time is taken —
+    the speedup therefore includes scheduler overhead and core saturation
+    exactly as the paper's thread sweeps include pthread overhead
+    (efficiency declines past the core count).
     ``parallelize`` ships each task only its own slice, so every job is
     one stage with no shuffle.
     """
@@ -300,23 +289,24 @@ def scaling_benchmark(
     # its output is the decompress jobs' input
     comp_chunks = sc.parallelize(chunks, sc.defaultParallelism).map(codec.compress).collect()
 
-    rows = []
-    for p in partition_counts:
-        comp = sc.parallelize(chunks, p).map(codec.compress)
-        n, comp_ns = _best_of(_SCALING_RUNS, comp.count)
-        assert n == len(chunks)
+    counts = list(partition_counts)
+    # one (action, expected result) pair per timed job: compress, then
+    # decompress, for each count in turn
+    jobs = []
+    for p in counts:
+        jobs.append((sc.parallelize(chunks, p).map(codec.compress).count, len(chunks)))
         decomp = sc.parallelize(comp_chunks, p).map(lambda b: codec.decompress(b).nbytes)
-        nbytes, decomp_ns = _best_of(_SCALING_RUNS, decomp.sum)
-        assert nbytes == total
-        # bytes per ns * 1e3 = MB/s
-        rows.append(
-            {
-                "partitions": p,
-                "comp_mbs": total / comp_ns * 1e3,
-                "decomp_mbs": total / decomp_ns * 1e3,
-            }
-        )
-    out = pd.DataFrame(rows)
+        jobs.append((decomp.sum, total))
+    # round-robin: every run visits every count, so drift in the host's
+    # speed over the minutes of a sweep reaches all counts alike
+    best_ns = [2**63 - 1] * len(jobs)
+    for _ in range(_SCALING_RUNS):
+        for i, (job, expected) in enumerate(jobs):
+            got, ns = best_of(1, job)
+            assert got == expected
+            best_ns[i] = min(best_ns[i], ns)
+    mbs = total / np.reshape(best_ns, (-1, 2)) * 1e3  # bytes per ns * 1e3 = MB/s
+    out = pd.DataFrame({"partitions": counts, "comp_mbs": mbs[:, 0], "decomp_mbs": mbs[:, 1]})
     out["comp_speedup"] = out.comp_mbs / out.comp_mbs.iloc[0]
     out["comp_efficiency"] = out.comp_speedup / out.partitions
     out["decomp_speedup"] = out.decomp_mbs / out.decomp_mbs.iloc[0]

@@ -2,11 +2,27 @@
 
 CR = orig/comp size; CT/DT = orig size / (de)compression time. Overall
 aggregation follows the paper: harmonic mean for compression ratios,
-arithmetic mean for throughputs.
+arithmetic mean for throughputs. Times are best of k runs
+(:func:`best_of`), for the codecs and the roofline's machine ceilings alike.
 """
 from __future__ import annotations
 
+import time
+from typing import Callable, TypeVar
+
 import numpy as np
+
+_T = TypeVar("_T")
+
+
+def best_of(runs: int, fn: Callable[[], _T]) -> tuple[_T, int]:
+    """The result of ``fn()`` and its fastest wall time in ns over ``runs`` calls."""
+    best = 2**63 - 1
+    for _ in range(runs):
+        t0 = time.perf_counter_ns()
+        out = fn()
+        best = min(best, time.perf_counter_ns() - t0)
+    return out, best
 
 
 def harmonic_mean(xs) -> float:

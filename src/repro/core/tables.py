@@ -69,7 +69,7 @@ def ranking_summary(metrics: pd.DataFrame) -> RankingSummary:
     pivot = metrics.pivot_table(index="dataset", columns="method", values="cr")
     cols = _ordered_columns(pivot.columns)
     pivot = pivot[cols]
-    res = stats.friedman_test(pivot.to_numpy(), higher_is_better=True)
+    res = stats.friedman_test(pivot.to_numpy())
     cd = stats.nemenyi_cd(len(cols), len(pivot))
     order = [cols[i] for i in np.argsort(res.avg_ranks)]
     groups = stats.cd_groups(res.avg_ranks, cols, cd)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codecs.base import load_codec
+from repro.core.metrics import best_of
 from repro.data.corpus import generate, get_spec
 
 #: Arithmetic-intensity estimates (ops per byte of input) for each
@@ -77,21 +78,15 @@ def measure_machine_roof(nbytes: int = 1 << 27) -> MachineRoof:
     a = np.ones(nbytes // 8, dtype=np.float64)
     b = np.empty_like(a)
     np.copyto(b, a)  # warm both buffers
-    dt = min(_timed(lambda: np.copyto(b, a)) for _ in range(3))
-    mem_bw = 2 * a.nbytes / dt / 1e9  # read + write streams
+    _, ns = best_of(3, lambda: np.copyto(b, a))
+    mem_bw = 2 * a.nbytes / ns  # read + write streams; bytes/ns = GB/s
     n = 768
     m1 = np.ones((n, n))
     m2 = np.ones((n, n))
     m1 @ m2  # BLAS thread-pool spin-up
-    dt = min(_timed(lambda: m1 @ m2) for _ in range(3))
-    gops = 2 * n**3 / dt / 1e9
+    _, ns = best_of(3, lambda: m1 @ m2)
+    gops = 2 * n**3 / ns  # ops/ns = GOPS
     return MachineRoof(mem_bw_gbs=mem_bw, compute_gops=gops)
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 @dataclass

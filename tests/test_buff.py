@@ -67,57 +67,3 @@ class TestCompression:
         x = np.array([0.5, -0.0, 0.0, 1.25])
         out = BUFF().decompress(BUFF().compress(x))
         np.testing.assert_array_equal(out.view(np.uint64), x.view(np.uint64))
-
-
-class TestEncodedQueries:
-    """The paper's byte-column pattern-match query (§3.3 Insights)."""
-
-    def setup_method(self):
-        g = np.random.default_rng(5)
-        self.x = np.round(g.random(4000) * 100, 1)
-        self.codec = BUFF()
-        self.blob = self.codec.compress(self.x)
-
-    def test_query_eq(self):
-        target = self.x[123]
-        mask = self.codec.query_eq(self.blob, float(target))
-        np.testing.assert_array_equal(mask, self.x == target)
-
-    def test_query_eq_absent_value(self):
-        mask = self.codec.query_eq(self.blob, 12345.6)
-        assert not mask.any()
-
-    def test_query_le(self):
-        for v in [0.0, 17.3, 50.0, 99.9, 200.0]:
-            mask = self.codec.query_le(self.blob, v)
-            np.testing.assert_array_equal(mask, self.x <= v, err_msg=f"v={v}")
-
-    def test_query_le_below_range(self):
-        mask = self.codec.query_le(self.blob, -5.0)
-        assert not mask.any()
-
-    def test_packed_queries_do_not_decode(self, monkeypatch):
-        """§3.3: predicates run on the sub-columns without decompressing."""
-
-        def no_decode(blob):
-            raise AssertionError("packed-mode query decoded the blob")
-
-        monkeypatch.setattr(self.codec, "decompress", no_decode)
-        target = float(self.x[123])
-        np.testing.assert_array_equal(
-            self.codec.query_eq(self.blob, target), self.x == target
-        )
-        np.testing.assert_array_equal(self.codec.query_le(self.blob, 50.0), self.x <= 50.0)
-
-    def test_query_on_empty_blob(self):
-        blob = self.codec.compress(np.zeros(0))
-        assert self.codec.query_eq(blob, 1.0).size == 0
-        assert self.codec.query_le(blob, 1.0).size == 0
-
-    def test_query_on_raw_mode(self):
-        g = np.random.default_rng(6)
-        x = g.random(500)
-        blob = self.codec.compress(x)
-        np.testing.assert_array_equal(self.codec.query_le(blob, 0.5), x <= 0.5)
-        target = float(x[7])
-        np.testing.assert_array_equal(self.codec.query_eq(blob, target), x == target)

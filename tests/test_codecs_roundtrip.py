@@ -7,7 +7,7 @@ zeros, infinities, and denormals.
 import numpy as np
 import pytest
 
-from repro.codecs.base import TABLE4_METHODS, CodecFailure, load_codec
+from repro.codecs.base import TABLE4_METHODS, CodecFailure, load_codec, parse_envelope
 
 ALL_METHODS = TABLE4_METHODS + ["Dzip"]
 
@@ -189,9 +189,14 @@ _BAD_RECORD = {
 }
 
 
-# Every codec meets a forged count and a half-truncated blob; the codecs
-# with a hand-built bad record meet that too.
-_CORRUPT = [(n, k) for n in sorted(ALL_METHODS) for k in ("forged-count", "half-truncated")]
+# Every codec meets a forged count, a half-truncated blob and its header
+# followed by only 1-4 payload bytes; the codecs with a hand-built bad
+# record meet that too.
+_CORRUPT = [
+    (n, k)
+    for n in sorted(ALL_METHODS)
+    for k in ("forged-count", "half-truncated", "short-payload")
+]
 _CORRUPT += [(n, "bad-record") for n in sorted(_BAD_RECORD)]
 
 
@@ -202,10 +207,13 @@ def test_corrupt_bit_stream_raises_value_error(name, kind):
     if name == "Dzip":
         walk = walk[:600]  # Dzip-lite is KB/s by design (§4.5)
     blob = codec.compress(walk)
+    header = len(blob) - len(parse_envelope(blob)[3])
     bad = {
-        "forged-count": blob[:3] + (2**40).to_bytes(8, "little") + blob[11:],
-        "half-truncated": blob[: len(blob) // 2],
-        "bad-record": _BAD_RECORD.get(name),
+        "forged-count": [blob[:3] + (2**40).to_bytes(8, "little") + blob[11:]],
+        "half-truncated": [blob[: len(blob) // 2]],
+        "short-payload": [blob[: header + m] for m in range(1, 5)],
+        "bad-record": [_BAD_RECORD.get(name)],
     }[kind]
-    with pytest.raises(ValueError):
-        codec.decompress(bad)
+    for b in bad:
+        with pytest.raises(ValueError):
+            codec.decompress(b)

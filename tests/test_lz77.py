@@ -52,6 +52,23 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="offset"):
             lz_decompress(blob)
 
+    def test_every_prefix_decodes_or_raises_value_error(self):
+        # 300+ literals (extension 255, 31), a ~700-byte run of zeros
+        # (match extension 255, 255, …), then literals: cuts land inside
+        # both kinds of length extension
+        g = np.random.default_rng(7)
+        head, tail = (g.integers(0, 256, n, dtype=np.uint8).tobytes() for n in (300, 20))
+        data = head + b"\x00" * 700 + tail
+        blob = lz_compress(data)
+        assert lz_decompress(blob) == data
+        raised = 0
+        for cut in range(len(blob)):
+            try:
+                lz_decompress(blob[:cut])
+            except ValueError:
+                raised += 1
+        assert raised > 0
+
     def test_random_incompressible(self):
         g = np.random.default_rng(0)
         data = g.integers(0, 256, 100_000, dtype=np.uint8).tobytes()

@@ -21,6 +21,7 @@ class TestSpecialFunctions:
             (3.841, 1, 0.05),     # chi2 95th percentile, df=1
             (5.991, 2, 0.05),     # df=2
             (21.026, 12, 0.05),   # df=12 (k=13 methods)
+            (22.362, 13, 0.05),   # df=13 (Table 4's k=14 methods)
             (0.0, 5, 1.0),
         ],
     )
@@ -59,7 +60,7 @@ class TestFriedman:
         g = np.random.default_rng(2)
         scores = g.random((14, 4))
         scores[3, 1] = scores[3, 2]  # inject a tie
-        res = friedman_test(scores, higher_is_better=True)
+        res = friedman_test(scores)
         # naive reference: scipy-style midranks per row, chi2 statistic
         n, k = scores.shape
         ref_ranks = np.zeros(k)
@@ -126,6 +127,24 @@ class TestMannWhitney:
         u, p = mann_whitney_u(x, y)
         assert u == 3.0
         assert p == pytest.approx(0.1111, abs=0.02)
+
+    def test_heavy_ties_against_naive_reference(self):
+        """U from pairwise counts, σ² with the tie correction from group sizes."""
+        g = np.random.default_rng(3)
+        x = g.integers(0, 4, size=17).astype(float)
+        y = g.integers(1, 5, size=12).astype(float)
+        nx, ny = len(x), len(y)
+        n = nx + ny
+        u1 = sum((a > b) + 0.5 * (a == b) for a in x for b in y)
+        ref_u = min(u1, nx * ny - u1)
+        pooled = list(x) + list(y)
+        ties = sum(pooled.count(v) ** 3 - pooled.count(v) for v in set(pooled))
+        assert ties > 0
+        sigma = math.sqrt(nx * ny / 12 * ((n + 1) - ties / (n * (n - 1))))
+        z = (abs(ref_u - nx * ny / 2) - 0.5) / sigma
+        u, p = mann_whitney_u(x, y)
+        assert u == ref_u
+        assert p == pytest.approx(math.erfc(z / math.sqrt(2)), rel=1e-12)
 
     def test_nan_filtered(self):
         u, p = mann_whitney_u([1.0, np.nan, 2.0], [1.5, 2.5, np.nan])

@@ -49,7 +49,7 @@ class TestRanking:
         rs = ranking_summary(metrics)
         assert set(rs.order) == set(METHODS)
         assert rs.cd > 0
-        assert rs.friedman.k == len(METHODS)
+        assert rs.friedman.avg_ranks.size == len(METHODS)
         assert 0 <= rs.friedman.p_value <= 1
 
     def test_ranks_sum_invariant(self, metrics):
