@@ -52,6 +52,56 @@ def _centre_64(g: np.random.Generator) -> np.ndarray:
     return np.concatenate([np.tile(pair, 200), g.random(100)])
 
 
+def _pfpc_key_runs(g: np.random.Generator) -> np.ndarray:
+    """Runs of repeated values that cross pFPC's chunk boundaries.
+
+    800 doubles make 8 chunks of 100. Values drawn from a pool of four
+    repeat both the FCM and the DFCM hash keys, and the long runs of 0.0
+    (hash 0, a fresh table's key) and 2.5 span the boundaries at 100,
+    200 and 500, so a prediction must not reach into the previous chunk.
+    """
+    pool = g.random(4)
+    x = pool[g.integers(0, 4, 800)]
+    x[90:215] = 0.0
+    x[480:530] = 2.5
+    return x
+
+
+def _gorilla_gaps(g: np.random.Generator, gaps, width: int) -> np.ndarray:
+    """Gorilla ``11`` records exactly ``gaps[k]`` values apart.
+
+    XORs alternate between two windows: A (top bit set, at least a quarter
+    of the width in trailing zeros) and B (odd, with 31 leading zeros, or
+    29 in 32-bit words). Each new window opens with an XOR outside the
+    current one; the values between take ``10`` records inside it, or
+    ``0``.
+    """
+    u = np.uint64
+    quarter = width // 4
+    low = 33 if width == 64 else 3
+    xs = [int(g.integers(1, 1 << 62)) >> (64 - width)]
+    for k, gap in enumerate(gaps):
+        if k % 2 == 0:  # A: top bit set, exactly tz in [quarter, width/2)
+            tz = int(g.integers(quarter, width // 2))
+            head = int(g.integers(0, 1 << (width - 1 - tz)))
+            xs.append((1 << (width - 1 - tz) | head | 1) << tz)
+            fill = [(int(g.integers(1, 1 << (width - tz))) << tz) for _ in range(gap - 1)]
+        else:  # B: odd, exactly ``low`` bits long
+            xs.append(1 << (low - 1) | int(g.integers(0, 1 << (low - 2))) << 1 | 1)
+            fill = [int(g.integers(1, 1 << low)) for _ in range(gap - 1)]
+        zero = g.random(len(fill)) < 0.2
+        xs += [0 if z else f for f, z in zip(fill, zero)]
+    words = np.bitwise_xor.accumulate(np.array(xs, dtype=u))
+    if width == 32:
+        return words.astype(np.uint32).view(np.float32)
+    return words.view(np.float64)
+
+
+#: Gaps between Gorilla ``11`` records: at the first search windows'
+#: edges (64, then 64 + 256 and 64 + 256 + 1024) and on consecutive values.
+GORILLA_GAPS = [1, 64, 65, 320, 321, 1344, 1345] + [1] * 40 + [2, 63, 1, 1]
+
+
 def _fib_skew(g: np.random.Generator) -> np.ndarray:
     """fpzip residual bit lengths with Fibonacci counts 1, 1, 2, …, 10946,
     so its Huffman table holds codes of 20 bits.
@@ -102,6 +152,14 @@ def _inputs() -> dict[str, tuple[np.ndarray, tuple[int, ...] | None]]:
     cases["chimp-window-127-128"] = (_window_edge(np.random.default_rng(127)), None)
     cases["gorilla-centre-64"] = (_centre_64(np.random.default_rng(64)), None)
     cases["fpzip-fib-skew"] = (_fib_skew(np.random.default_rng(20)), None)
+    # pFPC's 8 chunks of 5 and of 13 values: shorter than its 8-term DFCM
+    # hash window; an odd float32 count pads the last 64-bit word
+    cases["pfpc-chunks-5"] = (walk[:40], None)
+    cases["pfpc-chunks-13"] = (walk[:104], None)
+    cases["pfpc-odd-f32"] = (walk[:41].astype(np.float32), None)
+    cases["pfpc-key-runs"] = (_pfpc_key_runs(np.random.default_rng(16)), None)
+    cases["gorilla-gaps-f64"] = (_gorilla_gaps(np.random.default_rng(11), GORILLA_GAPS, 64), None)
+    cases["gorilla-gaps-f32"] = (_gorilla_gaps(np.random.default_rng(32), GORILLA_GAPS, 32), None)
     for spec in corpus():
         arr = generate(spec, 0.05)
         cases[f"corpus/{spec.name}"] = (arr, arr.shape if arr.ndim > 1 else None)
