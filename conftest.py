@@ -60,7 +60,8 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    (shuffle partitions, Arrow, broadcast threshold) are set here, as is
+    ``repro.run``'s Python worker daemon (``repro.sparkdaemon``).
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
@@ -70,6 +71,7 @@ def spark() -> SparkSession:
         .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.daemon.module", "repro.sparkdaemon")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

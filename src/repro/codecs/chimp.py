@@ -28,7 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import bit_length_u64, pack_bits, read_bits_at, trailing_zeros
+from repro.core.bitio import (
+    bit_length_u64,
+    pack_bits,
+    previous_same_key,
+    read_bits_at,
+    trailing_zeros,
+)
 
 _PREV = 128  # window size (Chimp128)
 _PREV_LOG = 7
@@ -58,11 +64,7 @@ class Chimp(Codec):
             return b""
         i = np.arange(n)
         # the index's candidate: the latest earlier value with the same key
-        key = w & np.uint64((1 << _KEY_BITS) - 1)
-        order = np.argsort(key, kind="stable")
-        same = key[order[1:]] == key[order[:-1]]
-        last_same = np.full(n, -1)
-        last_same[order[1:][same]] = order[:-1][same]
+        last_same = previous_same_key((w & np.uint64((1 << _KEY_BITS) - 1)).astype(np.uint16))
         in_window = (last_same >= 0) & (i - last_same < _PREV)
         cand = np.where(in_window, last_same, i - 1)
         x = w ^ w[cand]  # value 0's fields are garbage, set raw below

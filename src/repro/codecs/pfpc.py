@@ -8,24 +8,29 @@ into chunks distributed across pthreads, default 8):
 2. The residual is the XOR of the actual value with whichever predictor
    was closer (more leading-zero bytes).
 3. A 4-bit code per value: 1 bit selects the predictor, 3 bits encode the
-   leading-zero-byte count (the rare count 4 is stored as 3, as in FPC,
-   so 0–8 significant bytes fit a 3-bit field).
+   leading-zero-byte count (a residual of 4 significant bytes is stored
+   with 5, as in FPC, so the counts 0–3 and 5–8 fit a 3-bit field).
 4. The non-zero residual bytes are copied verbatim.
 
 pFPC is double-only; single-precision input is reinterpreted as 64-bit
-words like the original does with raw streams. The hash-table recurrence
-is inherently sequential, so each chunk runs a Python loop over native
-ints (the original is serial per thread too). The chunks are independent,
-but nothing here runs them in parallel: the harness parallelizes across
-(dataset, method) cells, and Tables 7/8 parallelize across fixed-size
-chunks of one dataset, each compressed as a whole pFPC stream.
+words like the original does with raw streams. The encoder is whole-array
+NumPy: FPC's hashes are shift-XOR windows of the chunk's last 3 values
+(FCM) and last 8 deltas (DFCM), so they follow from the input alone, and a
+table read at hash ``h`` returns what the latest earlier position of the
+chunk with hash ``h`` wrote (a stable sort by hash finds it). The decoder
+is a Python loop over native ints, because there the hashes depend on the
+decoded values (the original is serial per thread too). The chunks are
+independent, but nothing here runs them in parallel: the harness
+parallelizes across (dataset, method) cells, and Tables 7/8 parallelize
+across fixed-size chunks of one dataset, each compressed as a whole pFPC
+stream.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import pack_bits, unpack_bits
+from repro.core.bitio import bit_length_u64, pack_bits, previous_same_key, unpack_bits
 from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
 _TBITS = 16  # 2^16-entry predictor tables, as FPC's default scale
@@ -34,40 +39,30 @@ _TMASK = _TSIZE - 1
 _M64 = (1 << 64) - 1
 
 
-def _compress_chunk(vals: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """FCM/DFCM encode one chunk -> (codes, residuals, nzb per value)."""
-    fcm = [0] * _TSIZE
-    dfcm = [0] * _TSIZE
-    fhash = dhash = 0
-    last = 0
-    codes: list[int] = []
-    resids: list[int] = []
-    nzbs: list[int] = []
-    for v in vals:
-        pf = fcm[fhash]
-        pd = (dfcm[dhash] + last) & _M64
-        xf = v ^ pf
-        xd = v ^ pd
-        if xf <= xd:
-            sel, x = 0, xf
-        else:
-            sel, x = 1, xd
-        nzb = (x.bit_length() + 7) >> 3
-        if nzb == 4:  # FPC: count 4 is stored as 3 (writes one extra byte)
-            nzb = 5
-        lzb = 8 - nzb
-        code = lzb if lzb < 4 else lzb - 1  # {0,1,2,3,5,6,7,8} -> 3 bits
-        codes.append((sel << 3) | code)
-        resids.append(x)
-        nzbs.append(nzb)
-        # table updates (FPC hash functions)
-        fcm[fhash] = v
-        fhash = ((fhash << 6) ^ (v >> 48)) & _TMASK
-        delta = (v - last) & _M64
-        dfcm[dhash] = delta
-        dhash = ((dhash << 2) ^ (delta >> 40)) & _TMASK
-        last = v
-    return codes, resids, nzbs
+def _window_hash(terms: np.ndarray, local: np.ndarray, k_max: int, shift: int) -> np.ndarray:
+    """FPC's shift-XOR hash before each value, from the chunk's earlier terms.
+
+    ``h = ((h << shift) ^ term) & mask`` after every value makes the hash
+    before value ``i`` the XOR of ``terms[i-k] << shift*(k-1)`` over the
+    ``k_max`` terms that survive the mask, counting only those in the same
+    chunk (``local`` is each value's index within its chunk).
+    """
+    h = np.zeros(terms.size, dtype=np.uint64)
+    for k in range(1, k_max + 1):
+        term = terms[:-k] << np.uint64(shift * (k - 1))
+        h[k:] ^= np.where(local[k:] >= k, term, np.uint64(0))
+    return (h & np.uint64(_TMASK)).astype(np.uint16)
+
+
+def _table_read(hashes: np.ndarray, written: np.ndarray, chunk_start: np.ndarray) -> np.ndarray:
+    """What a fresh 2**16-entry table per chunk, written ``written[j]`` at
+    ``hashes[j]`` after each value, holds at ``hashes[i]`` before value ``i``.
+
+    Chunks are contiguous, so an earlier write with the same hash lies in
+    the same chunk iff it is at or after the chunk's first value.
+    """
+    prev = previous_same_key(hashes)
+    return np.where(prev >= chunk_start, written[prev], np.uint64(0))
 
 
 def _decompress_chunk(codes: np.ndarray, resids: np.ndarray) -> np.ndarray:
@@ -106,18 +101,29 @@ class PFPC(Codec):
         if n == 0:
             return b""
         bounds = np.linspace(0, n, self.n_threads + 1).astype(np.int64)
+        # the FCM/DFCM recurrences, whole-array: both hashes are windows of
+        # the chunk's earlier values, so every table read is the value that
+        # an earlier position with the same hash wrote
+        chunk_start = np.repeat(bounds[:-1], np.diff(bounds))
+        local = np.arange(n) - chunk_start
+        last = np.concatenate(([np.uint64(0)], w[:-1]))
+        last[local == 0] = 0
+        delta = w - last
+        pf = _table_read(_window_hash(w >> np.uint64(48), local, 3, 6), w, chunk_start)
+        dhash = _window_hash(delta >> np.uint64(40), local, 8, 2)
+        pd = _table_read(dhash, delta, chunk_start) + last
+        xf, xd = w ^ pf, w ^ pd
+        sel = xd < xf
+        x = np.where(sel, xd, xf)
+        nzb = (bit_length_u64(x).astype(np.int64) + 7) >> 3
+        nzb[nzb == 4] = 5  # FPC: count 4 is stored as 5 (one extra byte)
+        lzb = 8 - nzb
+        codes = sel * 8 + np.where(lzb < 4, lzb, lzb - 1)  # {0,1,2,3,5,6,7,8} -> 3 bits
         out = bytearray()
         out += np.uint32(self.n_threads).tobytes()
-        vals = w.tolist()
-        for t in range(self.n_threads):
-            lo, hi = int(bounds[t]), int(bounds[t + 1])
-            codes, resids, nzbs = _compress_chunk(vals[lo:hi])
-            head = pack_bits(
-                np.array(codes, dtype=np.uint64), np.full(len(codes), 4, np.int64)
-            )
-            body = pack_bits(
-                np.array(resids, dtype=np.uint64), 8 * np.array(nzbs, dtype=np.int64)
-            )
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            head = pack_bits(codes[lo:hi], np.full(hi - lo, 4, np.int64))
+            body = pack_bits(x[lo:hi], 8 * nzb[lo:hi])
             out += np.uint64(hi - lo).tobytes()
             out += np.uint64(len(head)).tobytes()
             out += np.uint64(len(body)).tobytes()

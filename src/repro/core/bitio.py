@@ -12,6 +12,8 @@ Conventions
   ``pack_bits`` fields of ``8 * nbytes`` bits.
 * The shared layout stages have one copy each: ``bit_transpose`` and the
   ``drop_zero_words``/``restore_zero_words`` pair.
+* ``previous_same_key`` is the one hash-table lookup of the vectorized
+  encoders: Chimp's window index and pFPC's FCM/DFCM tables.
 * Values are carried as ``uint64`` regardless of the source precision.
 """
 from __future__ import annotations
@@ -117,6 +119,23 @@ def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray
     if int(ends[-1]) > len(buf) * 8:
         raise ValueError("bitstream truncated")
     return read_bits_at(buf, ends - nb, nb)
+
+
+def previous_same_key(key: np.ndarray) -> np.ndarray:
+    """For each position, the latest earlier position with the same key (-1
+    if none): what a table indexed by ``key`` and written at every position
+    holds when position ``i`` reads it.
+
+    A stable sort puts equal keys next to each other in position order.
+    Pass keys of 16 bits or fewer as ``uint16``, which NumPy sorts stably
+    by radix.
+    """
+    key = np.asarray(key)
+    order = np.argsort(key, kind="stable")
+    same = key[order[1:]] == key[order[:-1]]
+    prev = np.full(key.size, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
 
 
 def bit_transpose(rows_u8: np.ndarray, rows: int, cols: int) -> np.ndarray:

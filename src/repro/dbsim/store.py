@@ -2,10 +2,10 @@
 
 The paper's tool reads compressed chunks from HDF5 files into pandas
 dataframes and scans them in one process. h5py is unavailable offline, so
-the container format is a single Parquet file of (chunk_id, dtype, payload)
-rows on local disk, written and read with pyarrow in the calling process
-(DESIGN.md substitution #6) — both are chunked binary columnar containers,
-and the three timed primitives are identical:
+the container format is a single uncompressed Parquet file of (chunk_id,
+dtype, payload) rows on local disk, written and read with pyarrow in the
+calling process (DESIGN.md substitution #6) — both are chunked binary
+columnar containers, and the three timed primitives are identical:
 
 1. **file I/O** — read the compressed chunks from disk;
 2. **data decoding** — decompress chunks into a pandas dataframe;
@@ -66,7 +66,9 @@ def store_compressed(
     if os.path.isdir(path):
         shutil.rmtree(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    pq.write_table(table, path)
+    # the codec's bytes as they are, as in the paper's HDF5 chunks: Parquet's
+    # default snappy would add its own decoding to the read column
+    pq.write_table(table, path, compression="none")
     return {
         "orig_bytes": int(arr.nbytes),
         "comp_bytes": sum(map(len, payloads)),

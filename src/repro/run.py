@@ -34,6 +34,10 @@ SCALING_PARTITIONS = (1, 2, 4, 8, 16, 24, 32, 48)
 #: Spark SQL's post-shuffle partition count (the sweep's aggregations).
 SHUFFLE_PARTITIONS = 64
 
+#: The Python worker daemon: Spark's own, without a per-task tax of zip
+#: directory reads (see ``repro.sparkdaemon``).
+DAEMON_MODULE = "repro.sparkdaemon"
+
 
 @dataclass
 class Table:
@@ -64,6 +68,7 @@ class Context:
                 SparkSession.builder.appName("repro.run")
                 .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
                 .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+                .config("spark.python.daemon.module", DAEMON_MODULE)
                 .getOrCreate()
             )
             self.session.sparkContext.setLogLevel("ERROR")

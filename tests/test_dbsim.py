@@ -87,6 +87,15 @@ class TestStoreFiles:
         dtype = str(generate(get_spec("tpcDS-web"), 0.05).dtype)
         assert set(pd.read_parquet(path).dtype) == {dtype}
 
+    def test_payload_is_stored_uncompressed(self, tmp_path):
+        path = str(tmp_path / "blob")
+        store_compressed(None, path, "tpcH-order", "pFPC", scale=0.05)
+        meta = pq.ParquetFile(path).metadata
+        names = meta.schema.to_arrow_schema().names
+        for g in range(meta.num_row_groups):
+            col = meta.row_group(g).column(names.index("payload"))
+            assert col.compression == "UNCOMPRESSED"
+
 
 class TestQueryCorrectness:
     def test_scan_matches_duckdb(self, spark):
