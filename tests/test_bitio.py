@@ -9,6 +9,7 @@ from repro.core.bitio import (
     bit_transpose,
     drop_zero_words,
     pack_bits,
+    previous_same_key,
     restore_zero_words,
     trailing_zeros,
     unpack_bits,
@@ -161,6 +162,22 @@ class TestPackUnpackBytes:
     def test_start_byte(self):
         buf = b"\xff" + pack_bits(np.array([0xAB], np.uint64), np.array([8]))
         assert unpack_bits(buf, np.array([8]), start_bit=8)[0] == 0xAB
+
+
+class TestPreviousSameKey:
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+    def test_matches_a_written_table(self, dtype):
+        keys = np.random.default_rng(3).integers(0, 50, 2000).astype(dtype)
+        table: dict[int, int] = {}
+        want = []
+        for i, k in enumerate(keys.tolist()):
+            want.append(table.get(k, -1))
+            table[k] = i
+        assert previous_same_key(keys).tolist() == want
+
+    def test_empty_and_single(self):
+        assert previous_same_key(np.zeros(0, np.uint16)).tolist() == []
+        assert previous_same_key(np.zeros(1, np.uint16)).tolist() == [-1]
 
 
 class TestBitShuffleBits:
