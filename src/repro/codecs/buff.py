@@ -32,7 +32,11 @@ _RAW, _PACKED = 0, 1
 
 
 def _detect_precision(x: np.ndarray) -> int | None:
+    top = float(np.max(np.abs(x), initial=0.0))
     for p in range(0, 11):
+        # no later p fits the encoder's 2^62 bound (2^f ≥ 10^p): stop before overflow
+        if top * 10.0**p >= 2.0**62:
+            return None
         r = np.round(x, p)
         if np.array_equal(r, x):  # bitwise-equal for floats without NaN
             return p

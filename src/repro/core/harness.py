@@ -1,21 +1,22 @@
 """Spark benchmark harness: codecs as per-partition UDFs (§5.1.1).
 
-The work unit is a cell: one (dataset, method) pair of names. The driver
-packs the cells onto one bin per core by longest processing time first
-(LPT), using a fixed per-method cost-per-byte table and each dataset's
-size from its spec, and ``mapInPandas`` runs one bin per task over
-``spark.range``, so no shuffle moves the work. Inside the executor the
-kernel takes its bin's cells dataset by dataset: it generates each
-dataset once (the corpus is seeded by name, so executors and driver
-generate the same values), cuts it into blocks, and runs each method on
-each block (compress, decompress, verify bit-exact roundtrip, time
-both), one result row per (dataset, block, method).
+The work unit is a cell, (dataset, method, block_bytes): ``None`` block
+bytes compress the whole dataset with its grid dims, an int cuts its
+flattened values into blocks of that size, compressed without dims.
+:func:`run_cells` packs any mix of cells onto one bin per core by longest
+processing time first (LPT), from a fixed per-method cost-per-byte table
+and each dataset's size, and ``mapInPandas`` runs one bin per task over
+``spark.range``, so no shuffle moves the work. The kernel takes its bin's
+cells dataset by dataset: it generates each dataset once (seeded by name,
+so executors and driver agree), cuts it for each cell, and runs the
+method on each block (compress, decompress, verify bit-exact roundtrip,
+time both), one result row per (dataset, block size, block, method).
 
-Spark SQL then aggregates those rows into each (dataset, method)'s CR,
-CT, DT and wall times (:func:`per_dataset_metrics`), and tests
-cross-check it against the DuckDB oracle. The per-method and per-domain
-averages of Tables 4, 5, 6, 9 and 10 are pandas over those at most 33
-rows per method, in :mod:`repro.core.tables`. Tables 7/8
+Spark SQL then aggregates one configuration's rows into each (dataset,
+method)'s CR, CT, DT and wall times (:func:`per_dataset_metrics`), and
+tests cross-check it against the DuckDB oracle. The per-method and
+per-domain averages of Tables 4, 5, 6, 9 and 10 are pandas over those at
+most 33 rows per method, in :mod:`repro.core.tables`. Tables 7/8
 (:func:`scaling_benchmark`) map one codec over one dataset's chunks with
 ``parallelize`` and time each job; their few rows are pandas too.
 """
@@ -47,6 +48,7 @@ RESULT_SCHEMA = StructType(
         StructField("dataset", StringType()),
         StructField("domain", StringType()),
         StructField("method", StringType()),
+        StructField("block_bytes", LongType()),
         StructField("block_id", LongType()),
         StructField("orig_bytes", LongType()),
         StructField("comp_bytes", LongType()),
@@ -111,26 +113,24 @@ _COST_S_PER_MB = {
     "ndzip-G": 0.037,
 }
 
-Cell = tuple[str, str]  # (dataset, method)
+Cell = tuple[str, str, int | None]  # (dataset, method, block_bytes)
 
 
 def cell_cost(cell: Cell, scale: float) -> float:
     """Estimated seconds to run ``cell`` at ``scale``, from the dataset's
     extent and dtype alone (nothing is generated). An unknown method costs
     nothing: it fails at once in the executor."""
-    spec = get_spec(cell[0])
-    nbytes = int(np.prod(spec.scaled_extent(scale))) * spec.dtype.itemsize
-    return nbytes / 1e6 * _COST_S_PER_MB.get(cell[1], 0.0)
+    return get_spec(cell[0]).nbytes(scale) / 1e6 * _COST_S_PER_MB.get(cell[1], 0.0)
 
 
 def plan_bins(cells: Sequence[Cell], k: int, scale: float) -> tuple[tuple[Cell, ...], ...]:
     """Pack ``cells`` onto ``k`` bins, longest processing time first: each
     cell, costliest first, goes to the least-loaded bin. The makespan is
     within 4/3 of the optimum (Graham 1969) and at most the mean load plus
-    the costliest cell."""
+    the costliest cell. Ties go by (dataset, method), then input order."""
     bins: list[list[Cell]] = [[] for _ in range(k)]
     loads = [(0.0, b) for b in range(k)]
-    costed = sorted(((cell_cost(c, scale), c) for c in cells), key=lambda t: (-t[0], t[1]))
+    costed = sorted(((cell_cost(c, scale), c) for c in cells), key=lambda t: (-t[0], t[1][:2]))
     for cost, cell in costed:
         load, b = heapq.heappop(loads)
         bins[b].append(cell)
@@ -143,13 +143,11 @@ def _run_partition(
     *,
     plan: tuple[tuple[Cell, ...], ...],
     scale: float,
-    block_bytes: int | None,
-    use_dims: bool,
     repeats: int,
 ) -> Iterator[pd.DataFrame]:
     """Executor-side worker: run the cells of each bin id in the batch,
-    dataset by dataset, generating and cutting each dataset once and
-    holding only one at a time."""
+    dataset by dataset, generating each dataset once, cutting it for each
+    cell and holding only one dataset at a time."""
     for pdf in batches:
         out = []
         for bin_id in pdf.id:
@@ -157,23 +155,32 @@ def _run_partition(
             for name, work in groupby(cells, key=lambda c: c[0]):
                 spec = get_spec(name)
                 arr = generate(spec, scale)
-                # dims metadata only applies when compressing the whole dataset —
-                # a byte-range block no longer matches the logical grid extent
-                dims = arr.shape if block_bytes is None and use_dims and arr.ndim > 1 else None
-                parts = blocks(arr, block_bytes)
-                for _, method in work:
-                    for block_id, block in enumerate(parts):
+                for _, method, block_bytes in work:
+                    # dims only for the whole dataset: a block does not match the grid
+                    dims = arr.shape if block_bytes is None and arr.ndim > 1 else None
+                    for block_id, block in enumerate(blocks(arr, block_bytes)):
                         out.append(
                             {
                                 "dataset": name,
                                 "domain": spec.domain,
                                 "method": method,
+                                "block_bytes": block_bytes,
                                 "block_id": block_id,
                                 **run_cell(method, block, dims, repeats),
                             }
                         )
-                del arr, parts
+                del arr
         yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
+
+
+def run_cells(
+    spark: SparkSession, cells: Sequence[Cell], *, scale: float, repeats: int = 1
+) -> DataFrame:
+    """Run ``cells`` as one job, one :func:`plan_bins` bin per core (at most
+    one per cell) and one ``spark.range`` row, so one task, per bin."""
+    k = max(min(spark.sparkContext.defaultParallelism, len(cells)), 1)
+    kernel = partial(_run_partition, plan=plan_bins(cells, k, scale), scale=scale, repeats=repeats)
+    return spark.range(0, k, 1, k).mapInPandas(kernel, schema=RESULT_SCHEMA)
 
 
 def run_benchmark(
@@ -183,24 +190,13 @@ def run_benchmark(
     scale: float = 1.0,
     datasets: Sequence[str] | None = None,
     block_bytes: int | None = None,
-    use_dims: bool = True,
     repeats: int = 1,
 ) -> DataFrame:
-    """Run the codec sweep; returns the per-(dataset, block, method) results.
-
-    The (dataset, method) cells are packed by :func:`plan_bins` onto one
-    bin per core (``defaultParallelism``, at most one per cell). The plan
-    travels with the kernel; ``spark.range`` lays out one row, and so one
-    task, per bin id, with no shuffle. Each task generates and cuts its
-    own inputs."""
+    """The codec sweep of ``methods`` over ``datasets`` (default: the
+    corpus), every cell with the same ``block_bytes``: :func:`run_cells`."""
     specs = [get_spec(n) for n in datasets] if datasets else corpus()
-    cells = [(s.name, m) for s in specs for m in methods]
-    k = max(min(spark.sparkContext.defaultParallelism, len(cells)), 1)
-    kernel = partial(
-        _run_partition, plan=plan_bins(cells, k, scale), scale=scale,
-        block_bytes=block_bytes, use_dims=use_dims, repeats=repeats,
-    )
-    return spark.range(0, k, 1, k).mapInPandas(kernel, schema=RESULT_SCHEMA)
+    cells = [(s.name, m, block_bytes) for s in specs for m in methods]
+    return run_cells(spark, cells, scale=scale, repeats=repeats)
 
 
 def per_dataset_metrics(results: DataFrame) -> DataFrame:

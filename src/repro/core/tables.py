@@ -1,9 +1,10 @@
 """Builders that turn harness results into the paper's evaluation tables.
 
 One full sweep (33 datasets × 14 methods) feeds Tables 4, 5 and 6, as in
-the paper; Tables 7/8 (scaling), 9 (dimension info) and 10 (block sizes)
-run their own parameterized sweeps. Each builder returns pandas frames
-shaped like the printed tables, which ``repro.run`` formats.
+the paper; Tables 9 (dimension info) and 10 (block sizes) each run one
+sweep of cells that carry their block size, and Tables 7/8 (scaling) time
+their own jobs. Each builder returns pandas frames shaped like the printed
+tables, which ``repro.run`` formats.
 """
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS, TABLE10_METHODS
 from repro.core import stats
-from repro.core.harness import per_dataset_metrics, run_benchmark
+from repro.core.harness import per_dataset_metrics, run_cells
 from repro.core.metrics import harmonic_mean
-from repro.data.corpus import DOMAINS, corpus
+from repro.data.corpus import DOMAINS, corpus, get_spec
 
 #: Table 9's methods: the ones whose predictors take dimension information.
 DIM_METHODS = ["GFC", "MPC", "fpzip", "ndzip-C", "ndzip-G"]
@@ -97,26 +99,28 @@ def table6(metrics: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _metrics_per_config(spark, cells, configs, *, scale, repeats) -> list[pd.DataFrame]:
+    """One sweep of ``cells``; the per-dataset metrics of each config's rows."""
+    res = run_cells(spark, cells, scale=scale, repeats=repeats).cache()
+    out = [per_dataset_metrics(res.where(c)).toPandas() for c in configs]
+    res.unpersist()
+    return out
+
+
 def table9(spark: SparkSession, *, scale: float = 1.0, repeats: int = 1) -> pd.DataFrame:
-    """Table 9: dimension information's influence on CR (md vs 1d) + p-values."""
-    multi = [s.name for s in corpus() if len(s.extent) > 1]
+    """Table 9: dimension information's influence on CR (md vs 1d) + p-values.
+
+    One sweep: each multi-dimensional dataset's md cell compresses it whole
+    with its dims, its 1d cell as one flat block of all its bytes."""
+    multi = [s for s in corpus() if len(s.extent) > 1]
+    cells = [(s.name, m, b) for s in multi for m in DIM_METHODS for b in (None, s.nbytes(scale))]
+    md = F.col("block_bytes").isNull()
+    both = _metrics_per_config(spark, cells, [md, ~md], scale=scale, repeats=repeats)
     rows = {}
-    per_method_crs: dict[tuple[str, str], list[float]] = {}
-    for label, use_dims in (("md", True), ("1d", False)):
-        res = run_benchmark(
-            spark, DIM_METHODS, scale=scale, datasets=multi,
-            use_dims=use_dims, repeats=repeats,
-        )
-        m = per_dataset_metrics(res).toPandas()
-        for meth in DIM_METHODS:
-            crs = m[m.method == meth].cr.tolist()
-            per_method_crs[(meth, label)] = crs
-            rows.setdefault(meth, {})[f"hmean_{label}"] = harmonic_mean(crs)
     for meth in DIM_METHODS:
-        _, p = stats.mann_whitney_u(
-            per_method_crs[(meth, "md")], per_method_crs[(meth, "1d")]
-        )
-        rows[meth]["p_value"] = p
+        a, b = (m[m.method == meth].cr.tolist() for m in both)
+        p = stats.mann_whitney_u(a, b)[1]
+        rows[meth] = {"hmean_md": harmonic_mean(a), "hmean_1d": harmonic_mean(b), "p_value": p}
     return pd.DataFrame(rows).T.loc[DIM_METHODS]
 
 
@@ -129,14 +133,13 @@ def table10(
     datasets=None,
     repeats: int = 1,
 ) -> pd.DataFrame:
-    """Table 10: CR/CT/DT per method under 4K / 64K / 8M block sizes."""
+    """Table 10: CR/CT/DT per method under 4K / 64K / 8M blocks, one sweep."""
+    specs = [get_spec(n) for n in datasets] if datasets else corpus()
+    cells = [(s.name, m, bs) for s in specs for m in methods for bs in block_sizes]
+    configs = [F.col("block_bytes") == bs for bs in block_sizes]
+    metrics = _metrics_per_config(spark, cells, configs, scale=scale, repeats=repeats)
     frames = []
-    for bs in block_sizes:
-        res = run_benchmark(
-            spark, methods, scale=scale, datasets=datasets,
-            block_bytes=bs, repeats=repeats,
-        )
-        m = per_dataset_metrics(res).toPandas()
+    for bs, m in zip(block_sizes, metrics):
         agg = pd.DataFrame(
             {
                 "avg-CR": m.groupby("method").cr.apply(harmonic_mean),

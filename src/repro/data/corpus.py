@@ -43,6 +43,10 @@ class DatasetSpec:
         ext[0] = max(8, int(ext[0] * scale))
         return tuple(ext)
 
+    def nbytes(self, scale: float) -> int:
+        """Size in bytes of the dataset generated at ``scale``."""
+        return int(np.prod(self.scaled_extent(scale))) * self.dtype.itemsize
+
 
 # --- generator building blocks ----------------------------------------------
 

@@ -1,9 +1,12 @@
 """BUFF-specific behaviour: Table 2, sub-column queries, fallbacks."""
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.codecs.base import CodecFailure
 from repro.codecs.buff import BITS_FOR_PRECISION, BUFF, _detect_precision
+from tests.test_golden_bytes import INPUTS
 
 
 class TestTable2:
@@ -33,6 +36,15 @@ class TestPrecisionDetection:
     def test_float32_decimals(self):
         x = np.round(np.random.default_rng(1).random(50) * 10, 1).astype(np.float32)
         assert _detect_precision(x) is not None
+
+    def test_near_max_doubles_probe_without_overflow(self):
+        # values up to 3.5e307: no precision fits the 2^62 bound, and the
+        # probe must say so before np.round overflows
+        arr, _ = INPUTS["gorilla-gaps-f64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            blob = BUFF().compress(arr)
+        assert np.array_equal(BUFF().decompress(blob).view(np.uint64), arr.view(np.uint64))
 
 
 class TestCompression:

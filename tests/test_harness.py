@@ -151,7 +151,7 @@ class TestBlockMode:
         assert res.block_id.max() > 0
 
 
-SWEEP_CELLS = [(s.name, m) for s in corpus() for m in TABLE4_METHODS]
+SWEEP_CELLS = [(s.name, m, None) for s in corpus() for m in TABLE4_METHODS]
 
 
 class TestPlan:
@@ -171,6 +171,16 @@ class TestPlan:
 
     def test_every_table4_method_has_a_cost(self):
         assert set(TABLE4_METHODS) <= set(_COST_S_PER_MB)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_whole_and_flat_cells_of_one_pair_each_placed_once(self, k):
+        # the md and 1d cells of a (dataset, method) cost the same, so the
+        # tie-break must not compare None with an int block size
+        cells = [(d, m, b) for d, m, _ in SWEEP_CELLS for b in (None, get_spec(d).nbytes(0.5))]
+        plan = plan_bins(cells, k, 0.5)
+        placed = [c for b in plan for c in b]
+        assert len(placed) == len(cells)
+        assert set(placed) == set(cells)
 
     def test_no_cells_one_empty_bin(self):
         assert plan_bins([], 1, 0.5) == ((),)

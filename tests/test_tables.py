@@ -3,7 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import harness, tables
 from repro.core.harness import per_dataset_metrics, run_benchmark
+from repro.core.metrics import harmonic_mean
 from repro.core.tables import (
     DIM_METHODS,
     ranking_summary,
@@ -13,6 +15,7 @@ from repro.core.tables import (
     table9,
     table10,
 )
+from repro.data.corpus import corpus, get_spec
 
 METHODS = ["ndzip-C", "MPC", "BUFF", "nv::btcomp", "shf+zstd", "GFC"]
 DATASETS = ["citytemp", "gas-price", "astro-mhd", "tpcDS-web", "hdr-night"]
@@ -91,15 +94,13 @@ class TestTable9:
         assert (t9.p_value.dropna() > 0.05).all()
 
 
+T10_METHODS = ("Gorilla", "nv::btcomp", "shf+zstd")
+T10_DATA = dict(scale=0.05, datasets=["citytemp", "gas-price"])
+
+
 class TestTable10:
     def test_blocksize_sweep(self, spark):
-        t10 = table10(
-            spark,
-            scale=0.05,
-            block_sizes=(4096, 65536),
-            methods=("Gorilla", "nv::btcomp", "shf+zstd"),
-            datasets=["citytemp", "gas-price"],
-        )
+        t10 = table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA)
         assert set(t10.index.get_level_values("blocksize")) == {"4K", "64K"}
         cr4 = t10.loc[("4K", "avg-CR")]
         cr64 = t10.loc[("64K", "avg-CR")]
@@ -111,3 +112,60 @@ class TestTable10:
         # tiny scale, so compare the mean, not every cell).
         assert (cr64 >= cr4).sum() >= len(cr4) - 1
         assert ct64.mean() > ct4.mean()
+
+
+def _hmean_cr(spark, methods, **kw) -> dict[str, float]:
+    m = per_dataset_metrics(run_benchmark(spark, methods, **kw)).toPandas()
+    return m.groupby("method").cr.apply(harmonic_mean).to_dict()
+
+
+class TestOneSweepPerTable:
+    """Tables 9 and 10 run all their configurations in one sweep, and give
+    the CRs of one ``run_benchmark`` sweep per configuration."""
+
+    def test_table9_matches_md_and_1d_sweeps(self, spark):
+        scale = 0.04
+        multi = [s.name for s in corpus() if len(s.extent) > 1]
+        t9 = table9(spark, scale=scale)
+        # 1d: a block as large as the largest dataset, one flat block each
+        flat = max(get_spec(n).nbytes(scale) for n in multi)
+        for label, bs in (("md", None), ("1d", flat)):
+            want = _hmean_cr(spark, DIM_METHODS, scale=scale, datasets=multi, block_bytes=bs)
+            assert t9[f"hmean_{label}"].to_dict() == pytest.approx(want, rel=1e-12)
+        assert (t9.hmean_md != t9.hmean_1d).any()  # dims reach the md cells only
+
+    def test_table10_matches_per_block_size_sweeps(self, spark):
+        t10 = table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA)
+        for bs, label in ((4096, "4K"), (65536, "64K")):
+            want = _hmean_cr(spark, T10_METHODS, block_bytes=bs, **T10_DATA)
+            assert t10.loc[(label, "avg-CR")].to_dict() == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spark: table9(spark, scale=0.04),
+            lambda spark: table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA),
+        ],
+        ids=["table9", "table10"],
+    )
+    def test_one_sweep_each_bin_run_once(self, spark, monkeypatch, build):
+        ran = spark.sparkContext.accumulator(0)
+        kernel = harness._run_partition
+
+        def counted(batches, **kw):
+            ran.add(1)
+            yield from kernel(batches, **kw)
+
+        bins = []
+
+        def spy(spark, cells, **kw):
+            res = harness.run_cells(spark, cells, **kw)
+            bins.append(res.rdd.getNumPartitions())
+            return res
+
+        monkeypatch.setattr(harness, "_run_partition", counted)
+        monkeypatch.setattr(tables, "run_cells", spy)
+        build(spark)
+        assert len(bins) == 1
+        # every configuration reads the cached sweep: no bin runs twice
+        assert ran.value == bins[0]
