@@ -50,30 +50,18 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
-#: Spark SQL's post-shuffle partition count, as in ``repro.run``.
-SHUFFLE_PARTITIONS = 64
-
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here, as is
-    ``repro.run``'s Python worker daemon (``repro.sparkdaemon``).
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch); every other setting is ``repro.run.Context.spark``'s,
+    so tests run on the same session configuration as the tables.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.python.daemon.module", "repro.sparkdaemon")
-        .getOrCreate()
-    )
+    from repro.run import Context
+
+    s = Context().spark
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -27,8 +27,9 @@ _DTYPE_CODE = {v: k for k, v in _DTYPES.items()}
 def parse_envelope(blob: bytes) -> tuple[np.dtype, int, tuple[int, ...], bytes]:
     """Split a blob into ``(dtype, count, dims, payload)``.
 
-    Raises ``ValueError`` for a blob shorter than its header, bad magic or
-    an unknown dtype code. ``dims`` is empty for 1-D input.
+    Raises ``ValueError`` for a blob shorter than its header, bad magic, an
+    unknown dtype code or a count no array can hold. ``dims`` is empty for
+    1-D input.
     """
     if len(blob) < 11 or len(blob) < 11 + 4 * blob[2]:
         raise ValueError(f"blob of {len(blob)} bytes is shorter than its header")
@@ -37,6 +38,8 @@ def parse_envelope(blob: bytes) -> tuple[np.dtype, int, tuple[int, ...], bytes]:
         raise ValueError(f"bad magic 0x{magic:02x}")
     if dcode not in _DTYPES:
         raise ValueError(f"unknown dtype code {dcode}")
+    if count > np.iinfo(np.intp).max // _DTYPES[dcode].itemsize:
+        raise ValueError(f"count {count} exceeds any array")
     dims = struct.unpack_from(f"<{ndims}I", blob, 11)
     return _DTYPES[dcode], count, dims, blob[11 + 4 * ndims :]
 
@@ -119,8 +122,8 @@ def all_methods() -> dict[str, MethodInfo]:
     return {name: cls.info for name, cls in _REGISTRY.items()}
 
 
-#: The 14 method columns of Tables 4/5 in paper order. Dzip is registered
-#: but excluded, as in the paper (its KB/s speed is impractical — §4.5).
+#: The 14 method columns of Tables 4/5 in paper order, which are exactly
+#: the registered codecs (DESIGN.md substitution #5).
 TABLE4_METHODS = [
     "pFPC",
     "SPDP",
@@ -161,7 +164,6 @@ def _ensure_loaded() -> None:
         bitshuffle,
         buff,
         chimp,
-        dzip_lite,
         fpzip_like,
         gfc,
         gorilla,

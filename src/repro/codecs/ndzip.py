@@ -19,9 +19,10 @@ Workflow reproduced from Knorr et al. 2021:
 
 CPU and GPU implementations share this exact pipeline in the paper (§4.4:
 "the algorithm remains the same"); here both registry entries call the
-same vectorized NumPy kernels and differ only in the `arch` metadata the
-end-to-end harness uses to model host↔device transfers (DESIGN.md
-substitution #3).
+same vectorized NumPy kernels and differ only in their Table-1 metadata.
+`harness.per_dataset_metrics` adds modeled host↔device transfers to the
+end-to-end times of the methods in `base.GPU_METHODS`, which lists ndzip-G
+and not ndzip-C (DESIGN.md substitution #3).
 """
 from __future__ import annotations
 

@@ -322,11 +322,10 @@ def corpus_table(scale: float = 1.0):
                 "type": spec.dtype_code,
                 "size_bytes": int(arr.nbytes),
                 "entropy": round(value_entropy(arr), 2),
-                "extent": "x".join(str(d) for d in arr.shape)
-                if arr.ndim > 1
-                else str(arr.shape[0]),
+                "extent": "x".join(map(str, arr.shape)),
                 "paper_size_bytes": spec.paper_bytes,
                 "paper_entropy": spec.paper_entropy,
+                "paper_extent": "x".join(map(str, spec.paper_extent)),
             }
         )
     return pd.DataFrame(rows)

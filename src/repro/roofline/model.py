@@ -22,7 +22,6 @@ bandwidth roof, and which are far below any roof (serial, unbound).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +101,14 @@ class RooflinePoint:
 def profile_codecs(
     methods, roof: MachineRoof, *, dataset: str = "msg-bt", scale: float = 0.5
 ) -> list[RooflinePoint]:
-    """Place each codec under the roof using measured compression time."""
+    """Place each codec under the roof using its best-of-3 compression time."""
     arr = generate(get_spec(dataset), scale)
     points = []
     for m in methods:
         codec = load_codec(m)
-        t0 = time.perf_counter()
-        codec.compress(arr)
-        dt = time.perf_counter() - t0
+        _, ns = best_of(3, lambda: codec.compress(arr))
         ai = ARITHMETIC_INTENSITY[m]
-        achieved = arr.nbytes / dt / 1e9 * ai  # bytes/s × ops/byte
+        achieved = arr.nbytes / ns * ai  # bytes/ns = GB/s, × ops/byte
         attainable = roof.roof_at(ai)
         points.append(
             RooflinePoint(

@@ -92,21 +92,3 @@ class TestNdzipDims:
         codec = load_codec("ndzip-C")
         blob = codec.compress(arr, dims=arr.shape)
         np.testing.assert_array_equal(codec.decompress(blob), arr.reshape(-1))
-
-
-class TestDzipLite:
-    def test_compresses_text_like_bytes(self):
-        x = np.frombuffer((b"3.14159 " * 512)[:4096], dtype=np.float64)
-        blob = load_codec("Dzip").compress(x)
-        assert len(blob) < x.nbytes / 2
-
-    def test_kbs_class_throughput(self):
-        """Reproduces §4.5: NN-class methods are KB/s, not practical."""
-        import time
-
-        g = np.random.default_rng(7)
-        x = g.random(2048)
-        t0 = time.perf_counter()
-        load_codec("Dzip").compress(x)
-        dt = time.perf_counter() - t0
-        assert x.nbytes / dt < 5e6  # well under MB/s-class codecs

@@ -95,6 +95,7 @@ class TestCorpusTable:
         row = tab[tab.name == "astro-mhd"].iloc[0]
         assert row.paper_size_bytes == 548458560
         assert row.paper_entropy == 0.97
+        assert row.paper_extent == "130x514x1026"
 
 
 class TestTpcNumericMatrix:

@@ -21,8 +21,6 @@ from repro.codecs.base import TABLE4_METHODS, CodecFailure, load_codec
 from repro.data.corpus import corpus, generate
 
 GOLDEN_PATH = Path(__file__).with_name("golden_bytes.json")
-METHODS = TABLE4_METHODS + ["Dzip"]
-DZIP_MAX_VALUES = 600  # Dzip-lite is KB/s by design (§4.5)
 
 
 def _specials(g: np.random.Generator) -> np.ndarray:
@@ -169,13 +167,6 @@ def _inputs() -> dict[str, tuple[np.ndarray, tuple[int, ...] | None]]:
 INPUTS = _inputs()
 
 
-def _cell(name: str, case: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    arr, dims = INPUTS[case]
-    if name == "Dzip":
-        return arr.reshape(-1)[:DZIP_MAX_VALUES], None
-    return arr, dims
-
-
 def _digest(name: str, arr: np.ndarray, dims) -> tuple[str, bytes | None]:
     try:
         blob = load_codec(name).compress(arr, dims=dims)
@@ -190,15 +181,15 @@ def golden() -> dict[str, dict[str, str]]:
 
 
 def test_golden_covers_every_cell(golden):
-    assert sorted(golden) == sorted(METHODS)
-    for name in METHODS:
+    assert sorted(golden) == sorted(TABLE4_METHODS)
+    for name in TABLE4_METHODS:
         assert sorted(golden[name]) == sorted(INPUTS), name
 
 
 @pytest.mark.parametrize("case", list(INPUTS))
-@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("name", TABLE4_METHODS)
 def test_blob_bytes_and_roundtrip(golden, name, case):
-    arr, dims = _cell(name, case)
+    arr, dims = INPUTS[case]
     digest, blob = _digest(name, arr, dims)
     assert digest == golden[name][case]
     if blob is not None:
@@ -211,8 +202,8 @@ def test_blob_bytes_and_roundtrip(golden, name, case):
 
 if __name__ == "__main__":
     table = {
-        name: {case: _digest(name, *_cell(name, case))[0] for case in INPUTS}
-        for name in METHODS
+        name: {case: _digest(name, *INPUTS[case])[0] for case in INPUTS}
+        for name in TABLE4_METHODS
     }
     GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} hashes to {GOLDEN_PATH}")
