@@ -19,9 +19,10 @@ the cost of compression throughput (§3.5 Insights). Here the encoder is
 vectorized: a stable sort by key gives every value its index candidate,
 and the stored leading-zero count only depends on the previous value's
 record. Decode walks only the record headers in Python, to find where
-each record starts; vectorized reads then extract every field, and
-pointer jumping along each value's reference (the previous value or a
-window slot) rebuilds the values.
+each record starts (records are mostly self-sized ``01`` ones, so no run
+of them can be skipped as Gorilla's ``10`` runs are); vectorized reads
+then extract every field, and pointer jumping along each value's
+reference (the previous value or a window slot) rebuilds the values.
 """
 from __future__ import annotations
 
@@ -29,9 +30,11 @@ import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
 from repro.core.bitio import (
+    be_words,
     bit_length_u64,
     pack_bits,
     previous_same_key,
+    read_be32,
     read_bits_at,
     trailing_zeros,
 )
@@ -105,43 +108,53 @@ class Chimp(Codec):
 
     def _decode(self, payload, wdt, count, dims):
         width = wdt.itemsize * 8
-        total = len(payload) * 8
-        if width + (count - 1) * _MIN_RECORD_BITS > total:
+        if width + (count - 1) * _MIN_RECORD_BITS > len(payload) * 8:
             raise ValueError(f"count {count} exceeds what {len(payload)} Chimp bytes hold")
-        # parse only: find where each record starts from the 18 header bits
-        # there (read through a 32-bit window) and the stored count
-        buf = bytes(payload) + bytes(4)
-        from_bytes = int.from_bytes
-        lead = _LEAD_ROUND.tolist()
-        starts = [0] * count
-        pos = width
-        body = -1  # value bits of a 10 record, set by the latest 11 record
-        for i in range(1, count):
-            starts[i] = pos
-            head = from_bytes(buf[pos >> 3 : (pos >> 3) + 4], "big") >> (14 - (pos & 7)) & 0x3FFFF
-            if head < 0x10000:  # 00 | index
-                pos += 9
-                body = -1
-            elif head < 0x20000:  # 01 | index | lead | center_len | center
-                pos += 18 + (head & 63 or 64)
-                body = -1
-            elif head < 0x30000:  # 10 | bits
-                if body < 0:
-                    raise ValueError("corrupt Chimp stream: 10 record without a stored count")
-                pos += 2 + body
-            else:  # 11 | lead | bits
-                body = width - lead[head >> 13 & 7]
-                pos += 5 + body
-        if pos > total:
-            raise ValueError("Chimp stream truncated")
-        return _values(payload, width, np.array(starts))
+        return _values(payload, width, _record_starts(payload, width, count))
+
+
+def _record_starts(payload: bytes, width: int, count: int) -> np.ndarray:
+    """The start bit of each of the ``count`` records in ``payload``, from
+    the 18 header bits there (read through a 32-bit window) and the stored
+    count.
+
+    Raises ``ValueError`` if the records run past the end or a ``10``
+    record comes before any stored count.
+    """
+    # past the end the walk reads zeros, 00 records of 9 bits each, so
+    # count * 9 bits of padding keep every read in the buffer
+    buf = bytes(payload) + bytes(len(payload) + 16)
+    lead = _LEAD_ROUND.tolist()
+    starts = [0] * count
+    pos = width
+    body = -1  # value bits of a 10 record, set by the latest 11 record
+    for i in range(1, count):
+        starts[i] = pos
+        head = read_be32(buf, pos >> 3)[0] >> (14 - (pos & 7)) & 0x3FFFF
+        if head < 0x10000:  # 00 | index
+            pos += 9
+            body = -1
+        elif head < 0x20000:  # 01 | index | lead | center_len | center
+            pos += 18 + (head & 63 or 64)
+            body = -1
+        elif head < 0x30000:  # 10 | bits
+            if body < 0:
+                raise ValueError("corrupt Chimp stream: 10 record without a stored count")
+            pos += 2 + body
+        else:  # 11 | lead | bits
+            body = width - lead[head >> 13 & 7]
+            pos += 5 + body
+    if pos > len(payload) * 8:
+        raise ValueError("Chimp stream truncated")
+    return np.array(starts)
 
 
 def _values(payload: bytes, width: int, starts: np.ndarray) -> np.ndarray:
     """Rebuild the values from the record start bits found by the parse."""
     n = starts.size
     i = np.arange(n)
-    head = read_bits_at(payload, starts, 18).astype(np.int64)
+    words = be_words(payload)
+    head = read_bits_at(words, starts, 18).astype(np.int64)
     flag = head >> 16
     flag[0] = -1  # the first value, stored raw
     # value i = value[ref[i]] ^ x[i]; ref is i-1, or for 00/01 the absolute
@@ -159,7 +172,7 @@ def _values(payload: bytes, width: int, starts: np.ndarray) -> np.ndarray:
     xor_bits = np.where(new_lead, width - _LEAD_ROUND[head >> 13 & 7], 0)[latest]
     body_bits = np.select([flag == 0b01, flag >= 0b10], [clen, xor_bits], 0)
     body_at = starts + np.select([flag == 0b01, flag == 0b10, flag == 0b11], [18, 2, 5], 0)
-    x = read_bits_at(payload, body_at, body_bits) << tz.astype(np.uint64)
+    x = read_bits_at(words, body_at, body_bits) << tz.astype(np.uint64)
     x[0] = int.from_bytes(payload[: width // 8], "big")
     ref[0] = n  # the root points at a zero sentinel
     return _xor_chain(x, ref)

@@ -16,7 +16,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.core.bitio import pack_bits, read_bits_at
+from repro.core.bitio import be_words, pack_bits, read_bits_at
 
 #: Bit offsets decoded per table block; caps decode's scratch memory.
 _BLOCK_BITS = 1 << 16
@@ -103,12 +103,13 @@ class Huffman:
         out = []
         got = 0
         p = 0  # the next symbol's offset, relative to the block start
+        words = be_words(buf)
         for lo in range(0, total, _BLOCK_BITS):
             if got >= n:
                 break
             hi = min(lo + _BLOCK_BITS, total)
             offsets = np.arange(hi - lo)
-            window = read_bits_at(buf[lo >> 3 : (hi + maxlen + 7) >> 3], offsets, maxlen)
+            window = read_bits_at(words, lo + offsets, maxlen)
             index = np.searchsorted(first, window, side="right") - 1  # first[0] == 0
             # past the last code's range (an incomplete table) is no code
             hit = (window - first[index]) >> shift[index] == 0

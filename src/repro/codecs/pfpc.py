@@ -19,7 +19,10 @@ NumPy: FPC's hashes are shift-XOR windows of the chunk's last 3 values
 table read at hash ``h`` returns what the latest earlier position of the
 chunk with hash ``h`` wrote (a stable sort by hash finds it). The decoder
 is a Python loop over native ints, because there the hashes depend on the
-decoded values (the original is serial per thread too). The chunks are
+decoded values (the original is serial per thread too). Each chunk starts
+with empty tables: dicts for chunks under 2048 values, since a fresh
+2**16-entry list costs as much as decoding a few hundred values, and lists
+from there, which are faster per value. The chunks are
 independent, but nothing here runs them in parallel: the harness
 parallelizes across (dataset, method) cells, and Tables 7/8 parallelize
 across fixed-size chunks of one dataset, each compressed as a whole pFPC
@@ -37,6 +40,7 @@ _TBITS = 16  # 2^16-entry predictor tables, as FPC's default scale
 _TSIZE = 1 << _TBITS
 _TMASK = _TSIZE - 1
 _M64 = (1 << 64) - 1
+_LIST_TABLES_FROM = 2048
 
 
 def _window_hash(terms: np.ndarray, local: np.ndarray, k_max: int, shift: int) -> np.ndarray:
@@ -66,23 +70,62 @@ def _table_read(hashes: np.ndarray, written: np.ndarray, chunk_start: np.ndarray
 
 
 def _decompress_chunk(codes: np.ndarray, resids: np.ndarray) -> np.ndarray:
-    fcm = [0] * _TSIZE
-    dfcm = [0] * _TSIZE
-    fhash = dhash = 0
-    last = 0
+    """One chunk's values from its codes and residuals, with empty tables.
+
+    A 2**16-entry list table is fastest to read and write but costs about
+    0.1 ms to build and free (a reference count per entry), as much as
+    decoding a few hundred values; a dict starts empty for free but costs
+    more per value. Chunks shorter than ``_LIST_TABLES_FROM`` values use
+    dicts.
+    """
+    use_dfcm = (codes >> 3 & 1).tolist()
+    resids = resids.tolist()
+    if len(resids) >= _LIST_TABLES_FROM:
+        return np.array(_values_list_tables(use_dfcm, resids), dtype=np.uint64)
+    return np.array(_values_dict_tables(use_dfcm, resids), dtype=np.uint64)
+
+
+# The two loops below differ only in how a table is read. Each value reads
+# only the selected predictor's table and writes both. Deltas stay signed:
+# a prediction masks ``delta + last`` to 64 bits, and the hash takes bits
+# 40-55, which are the same for ``delta`` and ``delta mod 2**64``.
+
+
+def _values_list_tables(use_dfcm: list, resids: list) -> list:
+    fcm, dfcm = [0] * _TSIZE, [0] * _TSIZE
+    m64, tmask = _M64, _TMASK
+    fhash = dhash = last = 0
     out = []
-    for c, x in zip(codes.tolist(), resids.tolist()):
-        pf = fcm[fhash]
-        pd = (dfcm[dhash] + last) & _M64
-        v = x ^ (pd if (c >> 3) & 1 else pf)
-        out.append(v)
+    append = out.append
+    for d, x in zip(use_dfcm, resids):
+        v = x ^ ((dfcm[dhash] + last) & m64) if d else x ^ fcm[fhash]
+        append(v)
         fcm[fhash] = v
-        fhash = ((fhash << 6) ^ (v >> 48)) & _TMASK
-        delta = (v - last) & _M64
+        fhash = ((fhash << 6) ^ (v >> 48)) & tmask
+        delta = v - last
         dfcm[dhash] = delta
-        dhash = ((dhash << 2) ^ (delta >> 40)) & _TMASK
+        dhash = ((dhash << 2) ^ (delta >> 40)) & tmask
         last = v
-    return np.array(out, dtype=np.uint64)
+    return out
+
+
+def _values_dict_tables(use_dfcm: list, resids: list) -> list:
+    fcm, dfcm = {}, {}
+    fget, dget = fcm.get, dfcm.get
+    m64, tmask = _M64, _TMASK
+    fhash = dhash = last = 0
+    out = []
+    append = out.append
+    for d, x in zip(use_dfcm, resids):
+        v = x ^ ((dget(dhash, 0) + last) & m64) if d else x ^ fget(fhash, 0)
+        append(v)
+        fcm[fhash] = v
+        fhash = ((fhash << 6) ^ (v >> 48)) & tmask
+        delta = v - last
+        dfcm[dhash] = delta
+        dhash = ((dhash << 2) ^ (delta >> 40)) & tmask
+        last = v
+    return out
 
 
 @register

@@ -7,7 +7,8 @@ Conventions
   convention.
 * ``pack_bits``/``unpack_bits`` are fully vectorized. Formats whose widths
   are only discovered during decode (Gorilla, Chimp, Huffman) first find
-  where every field starts, then extract them all with ``read_bits_at``.
+  where every field starts, then extract them all with ``read_bits_at``
+  from the buffer's ``be_words``, built once per decode.
   Byte-aligned fields (GFC's and pFPC's significant residual bytes) are
   ``pack_bits`` fields of ``8 * nbytes`` bits.
 * The shared layout stages have one copy each: ``bit_transpose`` and the
@@ -18,11 +19,18 @@ Conventions
 """
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 _U64 = np.uint64
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: ``read_be32(buf, i)[0]`` is the big-endian 32-bit word at byte ``i`` of
+#: ``buf``: the scalar read of the Gorilla and Chimp header walks, which
+#: pad ``buf`` so that it never runs past the end.
+read_be32 = struct.Struct(">I").unpack_from
 
 
 def bit_length_u64(x: np.ndarray) -> np.ndarray:
@@ -85,18 +93,26 @@ def pack_bits(vals: np.ndarray, nbits: np.ndarray) -> bytes:
     return words.astype(">u8").tobytes()[: (total + 7) // 8]
 
 
-def read_bits_at(buf: bytes, starts: np.ndarray, nbits) -> np.ndarray:
-    """The ``nbits``-bit fields (0..64 each) that begin at bit ``starts``.
+def be_words(buf: bytes) -> np.ndarray:
+    """``buf`` as the big-endian 64-bit words that :func:`read_bits_at`
+    reads, zero-padded so that every bit of ``buf`` has a next word.
 
-    Bits past the end of ``buf`` read as zero; callers check bounds. The
-    buffer is read as big-endian 64-bit words, as :func:`pack_bits` wrote
-    it, so each field is two word gathers and a funnel shift.
+    A decoder that reads one buffer many times builds this once.
+    """
+    padded = np.zeros((len(buf) + 7) // 8 * 8 + 16, dtype=np.uint8)
+    padded[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+    return padded.view(">u8").astype(_U64)
+
+
+def read_bits_at(words: np.ndarray, starts: np.ndarray, nbits) -> np.ndarray:
+    """The ``nbits``-bit fields (0..64 each) that begin at bit ``starts`` of
+    the buffer that :func:`be_words` turned into ``words``.
+
+    Bits past the end of the buffer read as zero; callers check bounds.
+    Each field is two word gathers and a funnel shift.
     """
     starts = np.asarray(starts, dtype=np.int64)
     nb = np.asarray(nbits, dtype=_U64)
-    padded = np.zeros((len(buf) + 7) // 8 * 8 + 16, dtype=np.uint8)
-    padded[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
-    words = padded.view(">u8").astype(_U64)
     word = starts >> 6
     off = (starts & 63).astype(_U64)
     # the 64 bits from the start bit; the second word's shift is split in
@@ -118,7 +134,7 @@ def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray
     ends = start_bit + np.cumsum(nb)
     if int(ends[-1]) > len(buf) * 8:
         raise ValueError("bitstream truncated")
-    return read_bits_at(buf, ends - nb, nb)
+    return read_bits_at(be_words(buf), ends - nb, nb)
 
 
 def previous_same_key(key: np.ndarray) -> np.ndarray:

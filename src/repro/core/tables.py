@@ -17,7 +17,7 @@ from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS, TABLE10_METHODS
 from repro.core import stats
-from repro.core.harness import per_dataset_metrics, run_cells
+from repro.core.harness import cached, per_dataset_metrics, run_cells
 from repro.core.metrics import harmonic_mean
 from repro.data.corpus import DOMAINS, corpus, get_spec
 
@@ -101,7 +101,7 @@ def table6(metrics: pd.DataFrame) -> pd.DataFrame:
 
 def _metrics_per_config(spark, cells, configs, *, scale, repeats) -> list[pd.DataFrame]:
     """One sweep of ``cells``; the per-dataset metrics of each config's rows."""
-    res = run_cells(spark, cells, scale=scale, repeats=repeats).cache()
+    res = cached(run_cells(spark, cells, scale=scale, repeats=repeats))
     out = [per_dataset_metrics(res.where(c)).toPandas() for c in configs]
     res.unpersist()
     return out

@@ -21,7 +21,13 @@ from pyspark.sql import SparkSession
 
 from repro.codecs.base import TABLE4_METHODS
 from repro.core import tables
-from repro.core.harness import failures, per_dataset_metrics, run_benchmark, scaling_benchmark
+from repro.core.harness import (
+    cached,
+    failures,
+    per_dataset_metrics,
+    run_benchmark,
+    scaling_benchmark,
+)
 from repro.data.corpus import corpus_table
 from repro.dbsim.store import format_table11
 from repro.dbsim.store import table11 as dbsim_table11
@@ -76,7 +82,7 @@ class Context:
 
     def sweep(self) -> Sweep:
         if self._sweep is None:
-            res = run_benchmark(self.spark, scale=self.scale, repeats=self.repeats).cache()
+            res = cached(run_benchmark(self.spark, scale=self.scale, repeats=self.repeats))
             self._sweep = Sweep(per_dataset_metrics(res).toPandas(), failures(res).toPandas())
             res.unpersist()
         return self._sweep

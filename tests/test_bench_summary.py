@@ -1,0 +1,49 @@
+"""tools/bench_summary.py: medians, IQRs and pair wins of perfbench records."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
+_spec = importlib.util.spec_from_file_location("bench_summary", _PATH)
+bench_summary = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_summary)
+
+
+def _record(out: Path, workload: str, seed: int, rel: float, cr: float, wall: float) -> None:
+    metrics = {
+        "setup_s": {"value": 10.0, "unit": "s", "n": 1},
+        "pass_wall_rel": {"value": rel, "unit": "ratio", "n": 20},
+        "hmean_cr": {"value": cr, "unit": "ratio", "n": 22},
+        "driver_peak_rss_mb": {"value": 180.0, "unit": "MB", "n": 1},
+    }
+    record = {
+        "manifest": {"workload": workload, "seed": seed, "git_sha": out.name},
+        "metrics": metrics,
+        "raw": {"sweep_wall_s": {"value": wall, "unit": "s", "n": 20}},
+    }
+    out.mkdir(exist_ok=True)
+    (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_summary_of_two_sides(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p, c) in enumerate([(0.20, 0.15), (0.18, 0.16), (0.17, 0.19), (0.19, 0.14)]):
+        _record(parent, "dbsim-retrieve", seed, p, 1.5, 2 * p)
+        _record(change, "dbsim-retrieve", seed, c, 1.5, 2 * c)
+    _record(parent, "dbsim-retrieve", 9, 0.5, 1.5, 1.0)  # unpaired: spread only
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
+    wl = json.loads(out.read_text())["workloads"]["dbsim-retrieve"]
+    assert wl["paired_seeds"] == [0, 1, 2, 3]
+    assert wl["parent"]["seeds"] == [0, 1, 2, 3, 9]
+    rel = wl["change"]["metrics"]["pass_wall_rel"]
+    assert rel["median"] == pytest.approx(0.155)
+    assert rel["q1"] == pytest.approx(0.1475) and rel["q3"] == pytest.approx(0.1675)
+    assert rel["iqr"] == pytest.approx(0.02) and rel["unit"] == "ratio"
+    assert wl["parent"]["metrics"]["sweep_wall_s"]["median"] == pytest.approx(0.38)
+    assert wl["pairs"]["pass_wall_rel"] == {"change_better": 3, "pairs": 4}
+    # hmean_cr is higher-is-better and equal on every pair: no wins
+    assert wl["pairs"]["hmean_cr"] == {"change_better": 0, "pairs": 4}
+    assert wl["parent"]["git_sha"] == "parent"

@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS, load_codec
 from repro.core.harness import (
+    _COST_S_PER_BLOCK,
     _COST_S_PER_MB,
     RESULT_SCHEMA,
     cell_cost,
@@ -16,7 +17,7 @@ from repro.core.harness import (
     run_cell,
 )
 from repro.core.tables import table4
-from repro.data.corpus import corpus, generate, get_spec
+from repro.data.corpus import blocks, corpus, generate, get_spec
 from repro.oracle import assert_equivalent
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
@@ -171,6 +172,18 @@ class TestPlan:
 
     def test_every_table4_method_has_a_cost(self):
         assert set(TABLE4_METHODS) <= set(_COST_S_PER_MB)
+        assert set(TABLE4_METHODS) <= set(_COST_S_PER_BLOCK)
+
+    @pytest.mark.parametrize("method", ["pFPC", "Chimp", "shf+zstd"])
+    def test_block_cells_add_a_cost_per_block(self, method):
+        # solar-wind's float32 values at scale 0.5 end in a partial block
+        nbytes = get_spec("solar-wind").nbytes(0.5)
+        whole = cell_cost(("solar-wind", method, None), 0.5)
+        assert whole == pytest.approx(nbytes / 1e6 * _COST_S_PER_MB[method])
+        for block_bytes in (4096, 65536, 8 << 20):
+            nblocks = len(blocks(np.zeros(nbytes // 4, np.float32), block_bytes))
+            cost = cell_cost(("solar-wind", method, block_bytes), 0.5)
+            assert cost == pytest.approx(whole + nblocks * _COST_S_PER_BLOCK[method])
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_whole_and_flat_cells_of_one_pair_each_placed_once(self, k):
