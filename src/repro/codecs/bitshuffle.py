@@ -8,9 +8,12 @@ all elements land in consecutive bytes; a downstream dictionary coder
 
 Backends (DESIGN.md substitution #2): "LZ4" is this repo's LZ4-style LZ77
 (`lz77.py`); "zstd" is stdlib zlib at level 9 (DEFLATE: LZ77 + Huffman,
-the same match+entropy-coding family as zstd). The SSE2/AVX2 transpose of
-the original is the vectorized `bitio.bit_transpose` here; Spark
-partitions provide the thread-level parallelism in the harness.
+the same match+entropy-coding family as zstd). The original's SSE2/AVX2
+transpose works on 8×8 bit tiles, and so does `bitio.bit_transpose` here,
+with uint64 delta swaps; one call transposes all of a buffer's full blocks.
+Spark partitions provide the thread-level parallelism in the harness. The
+decoder raises ``ValueError`` when a block other than the last does not
+decompress to exactly 4096 bytes.
 """
 from __future__ import annotations
 
@@ -33,24 +36,25 @@ class _BitshuffleBase(Codec):
     _backend_decompress: Callable[[bytes], bytes]
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
-        width = words.dtype.itemsize * 8
-
-        def compress(block: bytes) -> bytes:
-            # transpose the block's (elements x element bits) matrix
-            raw = np.frombuffer(block, np.uint8)
-            shuffled = bit_transpose(raw, raw.size * 8 // width, width)
-            return self._backend_compress(shuffled.tobytes())
-
-        return frame_chunks(words.tobytes(), _BLOCK_BYTES, compress)
+        shuffled = _shuffle(words.view(np.uint8), words.dtype.itemsize * 8, False)
+        return frame_chunks(shuffled, _BLOCK_BYTES, self._backend_compress)
 
     def _decode(self, payload, wdt, count, dims):
-        width = wdt.itemsize * 8
+        shuffled = unframe_chunks(payload, self._backend_decompress, _BLOCK_BYTES)
+        data = _shuffle(np.frombuffer(shuffled, np.uint8), wdt.itemsize * 8, True)
+        return np.frombuffer(data, dtype=wdt, count=count)
 
-        def decompress(comp: bytes) -> bytes:
-            shuffled = np.frombuffer(self._backend_decompress(comp), np.uint8)
-            return bit_transpose(shuffled, width, shuffled.size * 8 // width).tobytes()
 
-        return np.frombuffer(unframe_chunks(payload, decompress), dtype=wdt, count=count)
+def _shuffle(data: np.ndarray, width: int, inverse: bool) -> bytes:
+    """Transpose the (elements x ``width`` bits) matrix of each block of
+    ``data``, or undo it: all full blocks in one batched call, then the
+    partial last one."""
+    full = data.size - data.size % _BLOCK_BYTES
+    out = []
+    for part in (data[:full].reshape(-1, _BLOCK_BYTES), data[full:]):
+        elems = part.shape[-1] * 8 // width
+        out.append(bit_transpose(part, width, elems) if inverse else bit_transpose(part, elems, width))
+    return b"".join(part.tobytes() for part in out)
 
 
 def _inflate(comp: bytes) -> bytes:

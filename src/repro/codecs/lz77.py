@@ -151,13 +151,26 @@ def frame_chunks(data: bytes, size: int, compress: Callable[[bytes], bytes]) -> 
     return bytes(out)
 
 
-def unframe_chunks(payload: bytes, decompress: Callable[[bytes], bytes]) -> bytes:
-    """Inverse of :func:`frame_chunks`: the decompressed chunks, concatenated."""
+def unframe_chunks(payload: bytes, decompress: Callable[[bytes], bytes], size: int) -> bytes:
+    """Inverse of :func:`frame_chunks` with the same ``size``: the
+    decompressed chunks, concatenated.
+
+    Raises ``ValueError`` if a chunk other than the last does not decompress
+    to exactly ``size`` bytes, or the last one to more, so chunk ``i`` of
+    the output starts at byte ``i * size``.
+    """
     out = bytearray()
+    last = size  # the previous chunk's length
     p = 0
     while p < len(payload):
+        if last != size:
+            raise ValueError(f"inner chunk of {last} bytes, not {size}")
         clen = int.from_bytes(payload[p : p + 4], "little")
         p += 4
-        out += decompress(payload[p : p + clen])
+        chunk = decompress(payload[p : p + clen])
+        if len(chunk) > size:
+            raise ValueError(f"chunk of {len(chunk)} bytes exceeds {size}")
+        last = len(chunk)
+        out += chunk
         p += clen
     return bytes(out)

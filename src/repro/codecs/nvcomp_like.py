@@ -41,7 +41,7 @@ class NvLZ4(Codec):
         return frame_chunks(words.tobytes(), _LZ_CHUNK, lz_compress)
 
     def _decode(self, payload, wdt, count, dims):
-        return np.frombuffer(unframe_chunks(payload, lz_decompress), dtype=wdt, count=count)
+        return np.frombuffer(unframe_chunks(payload, lz_decompress, _LZ_CHUNK), dtype=wdt, count=count)
 
 
 @register

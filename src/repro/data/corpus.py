@@ -109,14 +109,34 @@ def _sparse_bg(g, shape, active_frac: float = 0.03, levels: int = 40):
 
 
 def _image(g, shape, n_sources: int = 60, bg_quant: int | None = 256, noise: float = 1.0):
-    """Sky image: smooth background + point sources + read noise (OBS)."""
+    """Sky image: smooth background + point sources + read noise (OBS).
+
+    Each source ``a * exp(-d² / 4)`` is added only inside a square window
+    of radius ``r`` about it, with the same float operations as over the
+    whole grid. Sources only add, so every pixel stays at or above the
+    background's minimum ``m``; where ``m > 0``, a term outside the window
+    is at most ``a_max * exp(-(r+1)² / 4)``, which ``(r+1)² > 4 ln(4 a_max
+    / spacing(m))`` keeps below a quarter of any pixel's ulp, so adding it
+    would round back to the pixel. Where ``m <= 0`` the window is the grid.
+    """
     img = _field(g, shape, octaves=2, noise=0)
     img = img * 10 + 100
     ys = g.integers(0, shape[0], n_sources)
     xs = g.integers(0, shape[1], n_sources)
-    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
-    for y0, x0, a in zip(ys, xs, g.random(n_sources) * 5000):
-        img += a * np.exp(-((yy - y0) ** 2 + (xx - x0) ** 2) / 4.0)
+    amps = g.random(n_sources) * 5000
+    r = max(shape)  # the whole grid
+    lo = img.min()
+    if lo > 0 and amps.size and amps.max() > 0:
+        bound = 4 * np.log(4 * amps.max() / np.spacing(lo))
+        r = int(np.sqrt(max(bound, 0)))
+        while (r + 1) ** 2 <= bound:
+            r += 1
+    for y0, x0, a in zip(ys, xs, amps):
+        wy = slice(max(y0 - r, 0), y0 + r + 1)
+        wx = slice(max(x0 - r, 0), x0 + r + 1)
+        dy = np.arange(shape[0])[wy] - y0
+        dx = np.arange(shape[1])[wx] - x0
+        img[wy, wx] += a * np.exp(-(dy[:, None] ** 2 + dx ** 2) / 4.0)
     img += g.normal(scale=noise, size=shape)
     if bg_quant:  # ADC quantization drives the low-entropy HDR datasets
         img = np.round(img * bg_quant) / bg_quant

@@ -1,4 +1,6 @@
 """Unit tests for the vectorized bit-stream and layout primitives."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,37 @@ class TestBitShuffleBits:
     def test_wrong_row_size_raises(self):
         with pytest.raises(ValueError):
             bit_transpose(np.zeros(3, np.uint8), 8, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(0, 80),
+        col_units=st.integers(0, 40),
+        lead=st.lists(st.integers(0, 3), max_size=2).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bit_by_bit_reference(self, rows, col_units, lead, seed):
+        # rows * cols is a multiple of 8; shapes with both a multiple of 8
+        # take the 8x8-tile path, the others unpack/pack
+        cols = col_units * (8 // math.gcd(rows, 8))
+        raw = np.random.default_rng(seed).integers(0, 256, lead + (rows * cols // 8,), dtype=np.uint8)
+        before = raw.copy()
+        out = bit_transpose(raw, rows, cols)
+        np.testing.assert_array_equal(out, _bit_transpose_reference(raw, rows, cols))
+        np.testing.assert_array_equal(raw, before)  # the input is not touched
+        np.testing.assert_array_equal(bit_transpose(out, cols, rows), raw)
+
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (1024, 32), (512, 64), (64, 64), (16, 24)])
+    def test_aligned_shapes_match_reference(self, rows, cols):
+        raw = np.random.default_rng(rows + cols).integers(0, 256, (3, rows * cols // 8), dtype=np.uint8)
+        np.testing.assert_array_equal(bit_transpose(raw, rows, cols), _bit_transpose_reference(raw, rows, cols))
+
+
+def _bit_transpose_reference(rows_u8, rows, cols):
+    """The bit-by-bit transpose: every bit unpacked to a byte, the byte
+    matrix transposed and packed back."""
+    lead = rows_u8.shape[:-1]
+    bits = np.unpackbits(rows_u8, axis=-1).reshape(lead + (rows, cols))
+    return np.packbits(bits.swapaxes(-1, -2).reshape(lead + (rows * cols,)), axis=-1)
 
 
 class TestZeroWords:

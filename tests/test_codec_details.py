@@ -1,8 +1,11 @@
 """Codec-specific behaviours beyond the roundtrip contract."""
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.codecs.base import CodecFailure, load_codec
+from repro.codecs.base import CodecFailure, load_codec, parse_envelope
+from repro.codecs.lz77 import lz_compress
 from repro.codecs.gfc import _LIMIT
 from repro.codecs.pfpc import PFPC
 from repro.codecs.spdp import _dim8_forward, _dim8_inverse
@@ -58,6 +61,38 @@ class TestSPDPTransforms:
         b = np.arange(16, dtype=np.uint8)
         out = _dim8_forward(b)
         np.testing.assert_array_equal(out[:2], [0, 8])  # byte 0 of each word
+
+
+class TestBitshuffleBlocks:
+    """Every block but the last must decompress to exactly 4096 bytes."""
+
+    _BACKENDS = {"shf+LZ4": lz_compress, "shf+zstd": zlib.compress}
+
+    def _forged(self, method, sizes):
+        # a 3.5-block f64 input, re-framed with inner blocks of ``sizes`` bytes
+        x = np.random.default_rng(8).normal(size=1792)
+        blob = load_codec(method).compress(x)
+        _, _, _, payload = parse_envelope(blob)
+        frame = b""
+        for n in sizes:
+            comp = self._BACKENDS[method](bytes(n))
+            frame += len(comp).to_bytes(4, "little") + comp
+        return blob[: len(blob) - len(payload)] + frame
+
+    @pytest.mark.parametrize("method", ["shf+LZ4", "shf+zstd"])
+    def test_well_framed_zero_blocks_decode(self, method):
+        out = load_codec(method).decompress(self._forged(method, [4096, 4096, 4096, 2048]))
+        assert out.size == 1792 and not out.any()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[4088, 4096, 4096, 2056], [4096, 0, 4096, 4096, 2048], [4096, 4096, 4096, 4104]],
+        ids=["short-inner", "empty-inner", "long-last"],
+    )
+    @pytest.mark.parametrize("method", ["shf+LZ4", "shf+zstd"])
+    def test_misframed_block_raises_value_error(self, method, sizes):
+        with pytest.raises(ValueError):
+            load_codec(method).decompress(self._forged(method, sizes))
 
 
 class TestChimpVsGorilla:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import harmonic_mean, value_entropy
+from repro.data import corpus as corpus_module
 from repro.data.corpus import (
     DOMAINS,
     blocks,
@@ -149,3 +150,57 @@ class TestMetrics:
     def test_value_entropy_uniform(self):
         arr = np.arange(1024, dtype=np.float64)
         assert value_entropy(arr) == pytest.approx(10.0)
+
+
+def _image_full_grid(g, shape, n_sources=60, bg_quant=256, noise=1.0):
+    """``corpus._image`` with every source added over the whole grid."""
+    img = corpus_module._field(g, shape, octaves=2, noise=0)
+    img = img * 10 + 100
+    ys = g.integers(0, shape[0], n_sources)
+    xs = g.integers(0, shape[1], n_sources)
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+    for y0, x0, a in zip(ys, xs, g.random(n_sources) * 5000):
+        img += a * np.exp(-((yy - y0) ** 2 + (xx - x0) ** 2) / 4.0)
+    img += g.normal(scale=noise, size=shape)
+    if bg_quant:
+        img = np.round(img * bg_quant) / bg_quant
+    return img
+
+
+_IMAGE_SPECS = ["acs-wht", "hdr-night", "hdr-palermo", "hst-wfc3-uvis", "hst-wfc3-ir", "spitzer-irac"]
+
+
+class TestImageWindow:
+    """Each point source is added only near its centre; the float64 image
+    must equal the one with every source over the whole grid."""
+
+    def _both(self, monkeypatch, name, scale):
+        spec = get_spec(name)
+        shape = spec.scaled_extent(scale)
+        windowed = spec.maker(np.random.default_rng(11), shape)
+        monkeypatch.setattr(corpus_module, "_image", _image_full_grid)
+        return windowed, spec.maker(np.random.default_rng(11), shape)
+
+    @pytest.mark.parametrize("scale", [0.02, 0.5, 1, 4])
+    @pytest.mark.parametrize("name", _IMAGE_SPECS)
+    def test_equals_full_grid(self, monkeypatch, name, scale):
+        windowed, full = self._both(monkeypatch, name, scale)
+        assert windowed.dtype == full.dtype == np.float64
+        assert windowed.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("n_sources", [1, 25])
+    def test_non_positive_minimum_uses_full_grid(self, monkeypatch, n_sources):
+        # a background whose minimum is 0, without noise or quantization:
+        # the terms that a window would drop still change the pixels near 0
+        real_field = corpus_module._field
+
+        def shifted_field(g, shape, **kw):
+            f = real_field(g, shape, **kw)
+            return f - f.min() - 10.0
+
+        monkeypatch.setattr(corpus_module, "_field", shifted_field)
+        kw = dict(n_sources=n_sources, bg_quant=None, noise=0.0)
+        windowed = corpus_module._image(np.random.default_rng(12), (64, 96), **kw)
+        full = _image_full_grid(np.random.default_rng(12), (64, 96), **kw)
+        assert 0 < windowed.min() < 1e-12  # far terms landed on the 0 pixel
+        assert windowed.tobytes() == full.tobytes()

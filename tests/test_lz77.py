@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs.lz77 import lz_compress, lz_decompress
+from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
 
 
 class TestRoundtrip:
@@ -110,3 +110,18 @@ class TestRatioProperties:
         data = g.integers(0, 256, 50_000, dtype=np.uint8).tobytes()
         # literal-run overhead is a few bytes per 64 KiB, not per byte
         assert len(lz_compress(data)) < len(data) * 1.01 + 64
+
+
+class TestFraming:
+    @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 250])
+    def test_roundtrip(self, n):
+        data = bytes(range(256))[:n]
+        assert unframe_chunks(frame_chunks(data, 100, lz_compress), lz_decompress, 100) == data
+
+    @pytest.mark.parametrize(
+        "sizes", [[99, 100], [100, 0, 100], [100, 101]], ids=["short-inner", "empty-inner", "long-last"]
+    )
+    def test_misframed_chunk_raises_value_error(self, sizes):
+        frame = b"".join(len(c).to_bytes(4, "little") + c for c in (lz_compress(bytes(n)) for n in sizes))
+        with pytest.raises(ValueError):
+            unframe_chunks(frame, lz_decompress, 100)
