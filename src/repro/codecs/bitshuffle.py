@@ -52,9 +52,9 @@ def _shuffle(data: np.ndarray, width: int, inverse: bool) -> bytes:
     full = data.size - data.size % _BLOCK_BYTES
     out = []
     for part in (data[:full].reshape(-1, _BLOCK_BYTES), data[full:]):
-        elems = part.shape[-1] * 8 // width
-        out.append(bit_transpose(part, width, elems) if inverse else bit_transpose(part, elems, width))
-    return b"".join(part.tobytes() for part in out)
+        shape = (part.shape[-1] * 8 // width, width)
+        out.append(bit_transpose(part, *(shape[::-1] if inverse else shape)).tobytes())
+    return b"".join(out)
 
 
 def _inflate(comp: bytes) -> bytes:

@@ -126,17 +126,14 @@ def _image(g, shape, n_sources: int = 60, bg_quant: int | None = 256, noise: flo
     amps = g.random(n_sources) * 5000
     r = max(shape)  # the whole grid
     lo = img.min()
-    if lo > 0 and amps.size and amps.max() > 0:
-        bound = 4 * np.log(4 * amps.max() / np.spacing(lo))
-        r = int(np.sqrt(max(bound, 0)))
-        while (r + 1) ** 2 <= bound:
-            r += 1
+    if lo > 0 and n_sources:  # the least r with (r+1)² above the bound
+        r = int(np.sqrt(max(4 * np.log(4 * amps.max() / np.spacing(lo)), 0)))
+    iy, ix = np.arange(shape[0]), np.arange(shape[1])
     for y0, x0, a in zip(ys, xs, amps):
         wy = slice(max(y0 - r, 0), y0 + r + 1)
         wx = slice(max(x0 - r, 0), x0 + r + 1)
-        dy = np.arange(shape[0])[wy] - y0
-        dx = np.arange(shape[1])[wx] - x0
-        img[wy, wx] += a * np.exp(-(dy[:, None] ** 2 + dx ** 2) / 4.0)
+        d2 = (iy[wy] - y0)[:, None] ** 2 + (ix[wx] - x0) ** 2
+        img[wy, wx] += a * np.exp(-d2 / 4.0)
     img += g.normal(scale=noise, size=shape)
     if bg_quant:  # ADC quantization drives the low-entropy HDR datasets
         img = np.round(img * bg_quant) / bg_quant
