@@ -89,8 +89,8 @@ def _emit(out: bytearray, data: bytes, anchor: int, i: int, off: int, mlen: int)
 def lz_decompress(blob: bytes) -> bytes:
     """Inverse of :func:`lz_compress`.
 
-    Raises ``ValueError`` for a stream cut inside a length extension and
-    for a match offset outside the bytes decoded so far.
+    Raises ``ValueError`` for a stream cut inside an offset or a length
+    extension and for a match offset outside the bytes decoded so far.
     """
     blob = bytes(blob)
     n = len(blob)
@@ -112,7 +112,7 @@ def lz_decompress(blob: bytes) -> bytes:
             p += ll
             if p >= n:  # final literal-only sequence
                 break
-            off = int.from_bytes(blob[p : p + 2], "little")
+            off = blob[p] | blob[p + 1] << 8  # u16le, read without a slice
             p += 2
             ml = (token & 0xF) + _MIN_MATCH
             if (token & 0xF) == 15:
@@ -133,7 +133,7 @@ def lz_decompress(blob: bytes) -> bytes:
                 off *= 2
             out += out[start : start + ml]
     except IndexError:
-        raise ValueError("LZ77 stream ends inside a length extension") from None
+        raise ValueError("LZ77 stream ends inside an offset or a length extension") from None
     return bytes(out)
 
 
