@@ -52,8 +52,9 @@ def _shuffle(data: np.ndarray, width: int, inverse: bool) -> bytes:
     full = data.size - data.size % _BLOCK_BYTES
     out = []
     for part in (data[:full].reshape(-1, _BLOCK_BYTES), data[full:]):
-        shape = (part.shape[-1] * 8 // width, width)
-        out.append(bit_transpose(part, *(shape[::-1] if inverse else shape)).tobytes())
+        if part.size:
+            shape = (part.shape[-1] * 8 // width, width)
+            out.append(bit_transpose(part, *(shape[::-1] if inverse else shape)).tobytes())
     return b"".join(out)
 
 

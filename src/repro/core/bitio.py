@@ -27,6 +27,14 @@ _U64 = np.uint64
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _LE64 = np.dtype("<u8")
+#: The 8x8 tile transpose's three delta swaps: (shift, mask of the upper
+#: bit of each swapped pair), for 4x4 blocks, 2x2 blocks and bits.
+_TILE_SWAPS = tuple(
+    (_U64(s), _U64(m))
+    for s, m in ((36, 0xF0F0F0F000000000), (18, 0xCCCC0000CCCC0000), (9, 0xAA00AA00AA00AA00))
+)
+#: Inputs up to this size take bit_transpose's unpack/pack path.
+_TILE_MIN_BYTES = 4096
 
 #: ``read_be32(buf, i)[0]`` is the big-endian 32-bit word at byte ``i`` of
 #: ``buf``: the scalar read of the Gorilla and Chimp header walks, which
@@ -165,37 +173,42 @@ def bit_transpose(rows_u8: np.ndarray, rows: int, cols: int) -> np.ndarray:
     BIT stage and of ndzip (``width`` words of ``width`` bits each).
     Raises ``ValueError`` if a row does not hold ``rows * cols`` bits.
 
-    When ``rows`` and ``cols`` are multiples of 8, the matrix is cut into
-    8x8 bit tiles, as the original bitshuffle does (Masui et al. 2015):
-    each tile's 8 row bytes form one little-endian uint64 (row k in byte k,
-    column j at bit ``8k + 7 - j``), in which the transpose is a flip about
-    the anti-diagonal, three delta swaps; tile (I, J) then lands at (J, I).
-    Other shapes (bitshuffle's partial last block) expand every bit to a
-    byte and pack the transposed bytes back.
+    Inputs over 4 KiB whose ``rows`` and ``cols`` are multiples of 8 go
+    through :func:`_transpose_tiles`. The others (bitshuffle's partial last
+    block, and small inputs, where the tiles' fixed cost of about 10 µs
+    outweighs their per-byte saving) expand every bit to a byte and pack
+    the transposed bytes back.
     """
     a = np.asarray(rows_u8, dtype=np.uint8)
-    lead = a.shape[:-1]
     if a.shape[-1] * 8 != rows * cols:
         raise ValueError(f"a row of {a.shape[-1]} bytes is not a {rows} x {cols} bit matrix")
-    if rows % 8 or cols % 8:
-        bits = np.unpackbits(a, axis=-1).reshape(lead + (rows, cols))
-        return np.packbits(bits.swapaxes(-1, -2).reshape(lead + (rows * cols,)), axis=-1)
+    if rows % 8 == 0 and cols % 8 == 0 and a.size > _TILE_MIN_BYTES:
+        return _transpose_tiles(a, rows, cols)
+    lead = a.shape[:-1]
+    bits = np.unpackbits(a, axis=-1).reshape(lead + (rows, cols))
+    return np.packbits(bits.swapaxes(-1, -2).reshape(lead + (rows * cols,)), axis=-1)
+
+
+def _transpose_tiles(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """:func:`bit_transpose` for ``rows`` and ``cols`` that are multiples of
+    8, on 8x8 bit tiles, as the original bitshuffle does (Masui et al.
+    2015). Each tile's 8 row bytes form one little-endian uint64 (row k in
+    byte k, column j at bit ``8k + 7 - j``), in which the transpose is a
+    flip about the anti-diagonal: three delta swaps, of 4x4 blocks, 2x2
+    blocks and bits (``_TILE_SWAPS``). Tile (I, J) then lands at (J, I)."""
+    lead = a.shape[:-1]
     r8, c8 = rows // 8, cols // 8
     t = a.reshape(lead + (r8, 8, c8)).swapaxes(-1, -2).copy().view(_LE64)  # swapped in place
-    u = t << _U64(36)  # swap the 4x4 quadrants across the anti-diagonal
-    u ^= t >> _U64(36)
-    u ^= t
-    u &= _U64(0xF0F0F0F00F0F0F0F)
-    t ^= u
-    for shift, mask in ((18, 0xCCCC0000CCCC0000), (9, 0xAA00AA00AA00AA00)):
-        np.left_shift(t, _U64(shift), out=u)  # then the 2x2 blocks, then bits
+    u = np.empty_like(t)
+    for shift, mask in _TILE_SWAPS:  # d = (t ^ t << s) & m; t ^= d ^ d >> s
+        np.left_shift(t, shift, out=u)
         u ^= t
-        u &= _U64(mask)
+        u &= mask
         t ^= u
-        u >>= _U64(shift)
+        u >>= shift
         t ^= u
     tiles = t.view(np.uint8).reshape(lead + (r8, c8, 8))
-    return np.moveaxis(tiles, -3, -1).reshape(lead + (rows * cols // 8,))
+    return tiles.swapaxes(-3, -2).swapaxes(-2, -1).reshape(lead + (rows * cols // 8,))
 
 
 def drop_zero_words(words: np.ndarray) -> bytes:

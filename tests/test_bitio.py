@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitio import (
+    _transpose_tiles,
     bit_length_u64,
     bit_transpose,
     drop_zero_words,
@@ -223,8 +224,7 @@ class TestBitShuffleBits:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_bit_by_bit_reference(self, rows, col_units, lead, seed):
-        # rows * cols is a multiple of 8; shapes with both a multiple of 8
-        # take the 8x8-tile path, the others unpack/pack
+        # any rows * cols that is a multiple of 8
         cols = col_units * (8 // math.gcd(rows, 8))
         raw = np.random.default_rng(seed).integers(0, 256, lead + (rows * cols // 8,), dtype=np.uint8)
         before = raw.copy()
@@ -233,10 +233,32 @@ class TestBitShuffleBits:
         np.testing.assert_array_equal(raw, before)  # the input is not touched
         np.testing.assert_array_equal(bit_transpose(out, cols, rows), raw)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r8=st.integers(0, 24),
+        c8=st.integers(0, 12),
+        lead=st.lists(st.integers(0, 3), max_size=2).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tiles_match_bit_by_bit_reference(self, r8, c8, lead, seed):
+        # the 8x8-tile path itself, at every size, and the dispatch to it
+        rows, cols = 8 * r8, 8 * c8
+        raw = np.random.default_rng(seed).integers(0, 256, lead + (rows * cols // 8,), dtype=np.uint8)
+        before = raw.copy()
+        out = _transpose_tiles(raw, rows, cols)
+        np.testing.assert_array_equal(out, _bit_transpose_reference(raw, rows, cols))
+        np.testing.assert_array_equal(raw, before)
+        np.testing.assert_array_equal(_transpose_tiles(out, cols, rows), raw)
+        np.testing.assert_array_equal(bit_transpose(raw, rows, cols), out)
+
     @pytest.mark.parametrize("rows, cols", [(8, 8), (1024, 32), (512, 64), (64, 64), (16, 24)])
-    def test_aligned_shapes_match_reference(self, rows, cols):
-        raw = np.random.default_rng(rows + cols).integers(0, 256, (3, rows * cols // 8), dtype=np.uint8)
-        np.testing.assert_array_equal(bit_transpose(raw, rows, cols), _bit_transpose_reference(raw, rows, cols))
+    @pytest.mark.parametrize("lead", [(), (3,), (40,)])
+    def test_aligned_shapes_match_reference(self, rows, cols, lead):
+        # (40, 64 x 64 bits) is 20 KiB, over the tile path's threshold
+        raw = np.random.default_rng(rows + cols).integers(0, 256, lead + (rows * cols // 8,), dtype=np.uint8)
+        expected = _bit_transpose_reference(raw, rows, cols)
+        np.testing.assert_array_equal(bit_transpose(raw, rows, cols), expected)
+        np.testing.assert_array_equal(_transpose_tiles(raw, rows, cols), expected)
 
 
 def _bit_transpose_reference(rows_u8, rows, cols):
