@@ -4,8 +4,8 @@ from benchmarks.conftest import write_table
 from repro.run import table05
 
 
-def test_table05_throughputs(benchmark, swept_ctx):
-    t = benchmark.pedantic(table05, args=(swept_ctx,), rounds=1, iterations=1)
+def test_table05_throughputs(benchmark, ctx):
+    t = benchmark.pedantic(table05, args=(ctx,), rounds=1, iterations=1)
     t5 = t.frames["table05"]
     assert list(t5.index) == ["avg. comp", "avg. decomp"]
     # GPU-class vectorized methods must outrun the serial per-value codecs

@@ -4,8 +4,8 @@ from benchmarks.conftest import write_table
 from repro.run import table06
 
 
-def test_table06_walltime(benchmark, swept_ctx):
-    t = benchmark.pedantic(table06, args=(swept_ctx,), rounds=1, iterations=1)
+def test_table06_walltime(benchmark, ctx):
+    t = benchmark.pedantic(table06, args=(ctx,), rounds=1, iterations=1)
     t6 = t.frames["table06"]
     assert not any(c.startswith("nv::") for c in t6.columns)
     # Observation 5: serial codecs dominate wall time despite PCIe modeling

@@ -12,13 +12,13 @@ so executors and driver agree), cuts it for each cell, and runs the
 method on each block (compress, decompress, verify bit-exact roundtrip,
 time both), one result row per (dataset, block size, block, method).
 
-Spark SQL then aggregates one configuration's rows into each (dataset,
-method)'s CR, CT, DT and wall times (:func:`per_dataset_metrics`), and
-tests cross-check it against the DuckDB oracle. The per-method and
-per-domain averages of Tables 4, 5, 6, 9 and 10 are pandas over those at
-most 33 rows per method, in :mod:`repro.core.tables`. Tables 7/8
-(:func:`scaling_benchmark`) map one codec over one dataset's chunks with
-``parallelize`` and time each job; their few rows are pandas too.
+Spark SQL then aggregates one configuration's rows, in one task, into each
+(dataset, method)'s CR, CT, DT and wall times (:func:`per_dataset_metrics`,
+checked against the DuckDB oracle) and its failed cells (:func:`failures`).
+The per-method and per-domain averages of Tables 4, 5, 6, 9 and 10 are
+pandas over those at most 33 rows per method, in :mod:`repro.core.tables`.
+Tables 7/8 (:func:`scaling_benchmark`) map one codec over one dataset's
+chunks with ``parallelize`` and time each job; their few rows are pandas too.
 """
 from __future__ import annotations
 
@@ -285,8 +285,8 @@ def cached(df: DataFrame) -> DataFrame:
 
 
 def failures(results: DataFrame) -> DataFrame:
-    """The "-" cells: per (dataset, method) rows that did not succeed."""
-    return results.where(~F.col("ok")).select("dataset", "method", "error").distinct()
+    """The "-" cells: per (dataset, method) rows that did not succeed (one task)."""
+    return results.coalesce(1).where(~F.col("ok")).select("dataset", "method", "error").distinct()
 
 
 # --- Tables 7/8: parallel scaling -------------------------------------------

@@ -1,10 +1,10 @@
-"""Builders that turn harness results into the paper's evaluation tables.
+"""Builders that turn per-dataset metrics into the paper's evaluation tables.
 
-One full sweep (33 datasets × 14 methods) feeds Tables 4, 5 and 6, as in
-the paper; Tables 9 (dimension info) and 10 (block sizes) each run one
-sweep of cells that carry their block size, and Tables 7/8 (scaling) time
-their own jobs. Each builder returns pandas frames shaped like the printed
-tables, which ``repro.run`` formats.
+Pure pandas, with no Spark: each sweep-backed table declares its cells,
+(dataset, method, block_bytes) tuples, as a function of scale
+(``table*_cells``; Tables 4, 5 and 6 share theirs, as in the paper), and
+its builder takes the per-dataset metrics of those cells, which
+``repro.run`` computes and formats.
 """
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS, TABLE10_METHODS
 from repro.core import stats
-from repro.core.harness import cached, per_dataset_metrics, run_cells
 from repro.core.metrics import harmonic_mean
-from repro.data.corpus import DOMAINS, corpus, get_spec
+from repro.data.corpus import DOMAINS, corpus
 
 #: Table 9's methods: the ones whose predictors take dimension information.
 DIM_METHODS = ["GFC", "MPC", "fpzip", "ndzip-C", "ndzip-G"]
@@ -33,6 +30,11 @@ TABLE11_METHODS = [
 
 def _ordered_columns(columns) -> list[str]:
     return [m for m in TABLE4_METHODS if m in set(columns)]
+
+
+def table4_cells(scale: float) -> list[tuple]:
+    """Tables 4-6's cells: every dataset whole (scale does not change them)."""
+    return [(s.name, m, None) for s in corpus() for m in TABLE4_METHODS]
 
 
 def table4(metrics: pd.DataFrame) -> pd.DataFrame:
@@ -99,47 +101,37 @@ def table6(metrics: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _metrics_per_config(spark, cells, configs, *, scale, repeats) -> list[pd.DataFrame]:
-    """One sweep of ``cells``; the per-dataset metrics of each config's rows."""
-    res = cached(run_cells(spark, cells, scale=scale, repeats=repeats))
-    out = [per_dataset_metrics(res.where(c)).toPandas() for c in configs]
-    res.unpersist()
-    return out
-
-
-def table9(spark: SparkSession, *, scale: float = 1.0, repeats: int = 1) -> pd.DataFrame:
-    """Table 9: dimension information's influence on CR (md vs 1d) + p-values.
-
-    One sweep: each multi-dimensional dataset's md cell compresses it whole
-    with its dims, its 1d cell as one flat block of all its bytes."""
+def table9_cells(scale: float) -> tuple[list[tuple], list[tuple]]:
+    """Table 9's md and 1d cells: each multi-dimensional dataset whole
+    with its dims, and as one flat block of all its bytes."""
     multi = [s for s in corpus() if len(s.extent) > 1]
-    cells = [(s.name, m, b) for s in multi for m in DIM_METHODS for b in (None, s.nbytes(scale))]
-    md = F.col("block_bytes").isNull()
-    both = _metrics_per_config(spark, cells, [md, ~md], scale=scale, repeats=repeats)
+    md = [(s.name, m, None) for s in multi for m in DIM_METHODS]
+    flat = [(s.name, m, s.nbytes(scale)) for s in multi for m in DIM_METHODS]
+    return md, flat
+
+
+def table9(md: pd.DataFrame, flat: pd.DataFrame) -> pd.DataFrame:
+    """Table 9: dimension information's influence on CR (md vs 1d) + p-values,
+    from the per-dataset metrics of :func:`table9_cells`' two lists."""
     rows = {}
     for meth in DIM_METHODS:
-        a, b = (m[m.method == meth].cr.tolist() for m in both)
+        a, b = (m[m.method == meth].cr.tolist() for m in (md, flat))
         p = stats.mann_whitney_u(a, b)[1]
         rows[meth] = {"hmean_md": harmonic_mean(a), "hmean_1d": harmonic_mean(b), "p_value": p}
     return pd.DataFrame(rows).T.loc[DIM_METHODS]
 
 
-def table10(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    block_sizes=(4096, 65536, 8 << 20),
-    methods=tuple(TABLE10_METHODS),
-    datasets=None,
-    repeats: int = 1,
-) -> pd.DataFrame:
-    """Table 10: CR/CT/DT per method under 4K / 64K / 8M blocks, one sweep."""
-    specs = [get_spec(n) for n in datasets] if datasets else corpus()
-    cells = [(s.name, m, bs) for s in specs for m in methods for bs in block_sizes]
-    configs = [F.col("block_bytes") == bs for bs in block_sizes]
-    metrics = _metrics_per_config(spark, cells, configs, scale=scale, repeats=repeats)
+def table10_cells(scale: float) -> dict[int, list[tuple]]:
+    """Table 10's cells, one list per block size (scale does not change them)."""
+    sizes = (4096, 65536, 8 << 20)
+    return {bs: [(s.name, m, bs) for s in corpus() for m in TABLE10_METHODS] for bs in sizes}
+
+
+def table10(metrics: dict[int, pd.DataFrame]) -> pd.DataFrame:
+    """Table 10: CR/CT/DT per method under each block size, from the
+    per-dataset metrics of each of :func:`table10_cells`' lists."""
     frames = []
-    for bs, m in zip(block_sizes, metrics):
+    for bs, m in metrics.items():
         agg = pd.DataFrame(
             {
                 "avg-CR": m.groupby("method").cr.apply(harmonic_mean),
@@ -147,7 +139,7 @@ def table10(
                 "avg-DT (GB/s)": m.groupby("method").dt_gbs.mean(),
             }
         ).T
-        agg = agg[[c for c in methods if c in agg.columns]]
+        agg = agg[[c for c in TABLE10_METHODS if c in agg.columns]]
         agg.insert(0, "blocksize", _human(bs))
         frames.append(agg)
     out = pd.concat(frames)

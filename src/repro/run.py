@@ -3,8 +3,8 @@
 Each builder takes a :class:`Context` and returns a :class:`Table`: the
 frames it computed plus the exact text printed for it, which is also what
 ``benchmarks/`` writes to ``benchmarks/out/NAME.txt``. The context starts a
-SparkSession only when a builder asks for one, and runs the main 33×14
-sweep at most once, so Tables 4, 5 and 6 share it as in the paper.
+SparkSession only when a builder asks for one, and its first sweep runs the
+cells (:data:`CELLS`) of every table it will build once, as one job.
 
 Scale and repeats come from ``REPRO_SCALE`` (default 1.0) and
 ``REPRO_REPEATS`` (default 1).
@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS
 from repro.core import tables
@@ -25,7 +27,7 @@ from repro.core.harness import (
     cached,
     failures,
     per_dataset_metrics,
-    run_benchmark,
+    run_cells,
     scaling_benchmark,
 )
 from repro.data.corpus import corpus_table
@@ -36,9 +38,6 @@ from repro.roofline.model import measure_machine_roof, profile_codecs
 #: Tables 7/8: the paper's four parallel-capable methods and thread counts.
 SCALING_METHODS = ("pFPC", "shf+LZ4", "shf+zstd", "ndzip-C")
 SCALING_PARTITIONS = (1, 2, 4, 8, 16, 24, 32, 48)
-
-#: Spark SQL's post-shuffle partition count (the sweep's aggregations).
-SHUFFLE_PARTITIONS = 64
 
 #: The Python worker daemon: Spark's own, without a per-task tax of zip
 #: directory reads (see ``repro.sparkdaemon``).
@@ -52,12 +51,14 @@ class Table:
     text: str
 
 
-@dataclass
-class Sweep:
-    """The main sweep's per-(dataset, method) metrics and failed cells."""
-
-    metrics: pd.DataFrame
-    failed: pd.DataFrame
+#: The cells each sweep-backed builder reads, as a function of scale.
+CELLS = {
+    "table04": tables.table4_cells,
+    "table05": tables.table4_cells,
+    "table06": tables.table4_cells,
+    "table09": lambda scale: chain(*tables.table9_cells(scale)),
+    "table10": lambda scale: chain(*tables.table10_cells(scale).values()),
+}
 
 
 @dataclass
@@ -65,14 +66,17 @@ class Context:
     scale: float = 1.0
     repeats: int = 1
     session: SparkSession | None = None
-    _sweep: Sweep | None = field(default=None, repr=False)
+    #: The builders this context will run: the first sweep runs all their cells.
+    builds: tuple[str, ...] = ()
+    _results: DataFrame | None = field(default=None, repr=False)
+    _ran: set = field(default_factory=set, repr=False)
+    _metrics: dict = field(default_factory=dict, repr=False)
 
     @property
     def spark(self) -> SparkSession:
         if self.session is None:
             self.session = (
                 SparkSession.builder.appName("repro.run")
-                .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
                 .config("spark.sql.execution.arrow.pyspark.enabled", "true")
                 .config("spark.python.daemon.module", DAEMON_MODULE)
                 .getOrCreate()
@@ -80,12 +84,24 @@ class Context:
             self.session.sparkContext.setLogLevel("ERROR")
         return self.session
 
-    def sweep(self) -> Sweep:
-        if self._sweep is None:
-            res = cached(run_benchmark(self.spark, scale=self.scale, repeats=self.repeats))
-            self._sweep = Sweep(per_dataset_metrics(res).toPandas(), failures(res).toPandas())
-            res.unpersist()
-        return self._sweep
+    def metrics(self, cells: list) -> tuple[pd.DataFrame, DataFrame]:
+        """The per-dataset metrics of exactly ``cells``, and their failed
+        cells as a Spark frame. A call first runs, as one cached job, each of
+        ``cells`` and of the ``builds``' cells that no earlier call ran."""
+        key = frozenset(cells)
+        if key not in self._metrics:
+            declared = (CELLS[n](self.scale) for n in self.builds if n in CELLS)
+            todo = [c for c in dict.fromkeys(chain(cells, *declared)) if c not in self._ran]
+            if todo:
+                res = cached(run_cells(self.spark, todo, scale=self.scale, repeats=self.repeats))
+                self._results = res if self._results is None else self._results.union(res)
+                self._ran.update(todo)
+            # concat_ws skips a null block_bytes
+            row_key = F.concat_ws("\t", "dataset", "method", F.col("block_bytes").cast("string"))
+            keys = ["\t".join(str(x) for x in c if x is not None) for c in key]
+            rows = self._results.where(row_key.isin(keys))
+            self._metrics[key] = (per_dataset_metrics(rows).toPandas(), failures(rows))
+        return self._metrics[key]
 
 
 def _text(pdf: pd.DataFrame, extra: str = "") -> str:
@@ -99,30 +115,31 @@ def table03(ctx: Context) -> Table:
 
 
 def table04(ctx: Context) -> Table:
-    sweep = ctx.sweep()
-    t4 = tables.table4(sweep.metrics)
-    rs = tables.ranking_summary(sweep.metrics)
+    metrics, failed = ctx.metrics(tables.table4_cells(ctx.scale))
+    failed = failed.toPandas()
+    t4 = tables.table4(metrics)
+    rs = tables.ranking_summary(metrics)
     extra = (
         f"\nFriedman chi2={rs.friedman.statistic:.2f} p={rs.friedman.p_value:.2e} "
         f"CD={rs.cd:.3f}\nranking: {' > '.join(rs.order)}\n"
         f"top clique: {rs.groups[0] if rs.groups else '-'}\n"
     )
-    if len(sweep.failed):
-        extra += f"\nfailed cells (paper's '-'):\n{sweep.failed.to_string(index=False)}\n"
+    if len(failed):
+        extra += f"\nfailed cells (paper's '-'):\n{failed.to_string(index=False)}\n"
     return Table(
         "Table 4: compression ratios",
-        {"table04": t4, "metrics": sweep.metrics, "failed": sweep.failed},
+        {"table04": t4, "metrics": metrics, "failed": failed},
         _text(t4, extra),
     )
 
 
 def table05(ctx: Context) -> Table:
-    t5 = tables.table5(ctx.sweep().metrics)
+    t5 = tables.table5(ctx.metrics(tables.table4_cells(ctx.scale))[0])
     return Table("Table 5: (de)compression throughput (GB/s)", {"table05": t5}, _text(t5))
 
 
 def table06(ctx: Context) -> Table:
-    t6 = tables.table6(ctx.sweep().metrics)
+    t6 = tables.table6(ctx.metrics(tables.table4_cells(ctx.scale))[0])
     return Table("Table 6: end-to-end wall time (ms)", {"table06": t6}, _text(t6))
 
 
@@ -148,12 +165,14 @@ def table07_08(
 
 
 def table09(ctx: Context) -> Table:
-    t9 = tables.table9(ctx.spark, scale=ctx.scale, repeats=ctx.repeats)
+    md, flat = (ctx.metrics(cells)[0] for cells in tables.table9_cells(ctx.scale))
+    t9 = tables.table9(md, flat)
     return Table("Table 9: dimension info influence on CR (md vs 1d)", {"table09": t9}, _text(t9))
 
 
 def table10(ctx: Context) -> Table:
-    t10 = tables.table10(ctx.spark, scale=ctx.scale, repeats=ctx.repeats)
+    cells = tables.table10_cells(ctx.scale)
+    t10 = tables.table10({bs: ctx.metrics(c)[0] for bs, c in cells.items()})
     return Table("Table 10: performance under different block sizes", {"table10": t10}, _text(t10))
 
 
@@ -172,19 +191,7 @@ def roofline(ctx: Context) -> Table:
     """Fig. 11 companion: machine roof and per-method placement (msg-bt analog)."""
     roof = measure_machine_roof()
     pts = profile_codecs(TABLE4_METHODS, roof, scale=0.5)
-    pdf = pd.DataFrame(
-        [
-            {
-                "method": p.method,
-                "ai_ops_per_byte": p.ai,
-                "achieved_gops": p.achieved_gops,
-                "roof_gops": p.roof_gops,
-                "bound": p.bound,
-                "utilization": p.utilization,
-            }
-            for p in pts
-        ]
-    )
+    pdf = pd.DataFrame(map(asdict, pts)).rename(columns={"ai": "ai_ops_per_byte"})
     head = (
         f"machine roof: mem={roof.mem_bw_gbs:.1f} GB/s, compute={roof.compute_gops:.1f} GOPS, "
         f"ridge AI={roof.ridge_ai:.2f} ops/byte\n"
@@ -212,6 +219,7 @@ def main(argv=None) -> None:
     ctx = Context(
         scale=float(os.environ.get("REPRO_SCALE", "1.0")),
         repeats=int(os.environ.get("REPRO_REPEATS", "1")),
+        builds=tuple(args.tables),
     )
     try:
         for name in args.tables:

@@ -9,6 +9,7 @@ from repro.core.harness import (
     _COST_S_PER_BLOCK,
     _COST_S_PER_MB,
     RESULT_SCHEMA,
+    cached,
     cell_cost,
     failures,
     per_dataset_metrics,
@@ -215,3 +216,11 @@ class TestPlan:
         plan = res._jdf.queryExecution().executedPlan().toString()
         assert "MapInPandas" in plan
         assert "Exchange" not in plan
+        # the aggregations run in one task over a cached result of many partitions
+        many = cached(res.union(run_benchmark(spark, ["Gorilla"], **TINY)))
+        assert many.rdd.getNumPartitions() > 1
+        for aggregate in (per_dataset_metrics, failures):
+            out = aggregate(many)
+            out.collect()
+            assert "Exchange" not in out._jdf.queryExecution().executedPlan().toString()
+        many.unpersist()

@@ -1,21 +1,28 @@
 """Table builders over a small sweep (structure + aggregation checks)."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import harness, tables
-from repro.core.harness import per_dataset_metrics, run_benchmark
+from repro import run
+from repro.core import harness
+from repro.core.harness import per_dataset_metrics, run_benchmark, run_cells
 from repro.core.metrics import harmonic_mean
 from repro.core.tables import (
     DIM_METHODS,
     ranking_summary,
     table4,
+    table4_cells,
     table5,
     table6,
-    table9,
+    table9_cells,
     table10,
 )
 from repro.data.corpus import corpus, get_spec
+from repro.run import Context
 
 METHODS = ["ndzip-C", "MPC", "BUFF", "nv::btcomp", "shf+zstd", "GFC"]
 DATASETS = ["citytemp", "gas-price", "astro-mhd", "tpcDS-web", "hdr-night"]
@@ -80,17 +87,23 @@ class TestTables5and6:
         assert t6.loc["avg. comp", "MPC"] > kernel_ms
 
 
+T9_SCALE = 0.04
+
+
+@pytest.fixture(scope="module")
+def t9(spark):
+    return run.table09(Context(scale=T9_SCALE, session=spark)).frames["table09"]
+
+
 class TestTable9:
-    def test_structure_and_pvalues(self, spark):
-        t9 = table9(spark, scale=0.04)
+    def test_structure_and_pvalues(self, t9):
         assert list(t9.index) == DIM_METHODS
         assert {"hmean_md", "hmean_1d", "p_value"} <= set(t9.columns)
         valid = t9.p_value.dropna()
         assert ((valid >= 0) & (valid <= 1)).all()
 
-    def test_observation6_no_significant_difference(self, spark):
+    def test_observation6_no_significant_difference(self, t9):
         """Observation 6: compression is 1-d friendly (no significant change)."""
-        t9 = table9(spark, scale=0.04)
         assert (t9.p_value.dropna() > 0.05).all()
 
 
@@ -98,9 +111,15 @@ T10_METHODS = ("Gorilla", "nv::btcomp", "shf+zstd")
 T10_DATA = dict(scale=0.05, datasets=["citytemp", "gas-price"])
 
 
+@pytest.fixture(scope="module")
+def t10(spark):
+    ctx = Context(scale=T10_DATA["scale"], session=spark)
+    cells = {bs: [(d, m, bs) for d in T10_DATA["datasets"] for m in T10_METHODS] for bs in (4096, 65536)}
+    return table10({bs: ctx.metrics(c)[0] for bs, c in cells.items()})
+
+
 class TestTable10:
-    def test_blocksize_sweep(self, spark):
-        t10 = table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA)
+    def test_blocksize_sweep(self, t10):
         assert set(t10.index.get_level_values("blocksize")) == {"4K", "64K"}
         cr4 = t10.loc[("4K", "avg-CR")]
         cr64 = t10.loc[("64K", "avg-CR")]
@@ -119,53 +138,81 @@ def _hmean_cr(spark, methods, **kw) -> dict[str, float]:
     return m.groupby("method").cr.apply(harmonic_mean).to_dict()
 
 
-class TestOneSweepPerTable:
-    """Tables 9 and 10 run all their configurations in one sweep, and give
-    the CRs of one ``run_benchmark`` sweep per configuration."""
+@pytest.fixture
+def sweeps(spark, monkeypatch):
+    """The cell lists of every ``run_cells`` call ``repro.run`` makes, and an
+    accumulator of the bins the kernel ran."""
+    ran = spark.sparkContext.accumulator(0)
+    kernel = harness._run_partition
 
-    def test_table9_matches_md_and_1d_sweeps(self, spark):
-        scale = 0.04
+    def counted(batches, **kw):
+        ran.add(1)
+        yield from kernel(batches, **kw)
+
+    calls = []
+
+    def spy(spark, cells, **kw):
+        res = harness.run_cells(spark, cells, **kw)
+        calls.append((list(cells), res.rdd.getNumPartitions()))
+        return res
+
+    monkeypatch.setattr(harness, "_run_partition", counted)
+    monkeypatch.setattr(run, "run_cells", spy)
+    return calls, ran
+
+
+def _by_dataset_method(metrics: pd.DataFrame) -> pd.DataFrame:
+    return metrics.set_index(["dataset", "method"]).sort_index()[["orig_bytes", "comp_bytes"]]
+
+
+class TestOneSweepPerTable:
+    """A context runs every cell of the tables it builds once, in one
+    sweep, and gives the CRs of one ``run_benchmark`` sweep per
+    configuration."""
+
+    def test_table9_matches_md_and_1d_sweeps(self, spark, t9):
         multi = [s.name for s in corpus() if len(s.extent) > 1]
-        t9 = table9(spark, scale=scale)
         # 1d: a block as large as the largest dataset, one flat block each
-        flat = max(get_spec(n).nbytes(scale) for n in multi)
+        flat = max(get_spec(n).nbytes(T9_SCALE) for n in multi)
         for label, bs in (("md", None), ("1d", flat)):
-            want = _hmean_cr(spark, DIM_METHODS, scale=scale, datasets=multi, block_bytes=bs)
+            want = _hmean_cr(spark, DIM_METHODS, scale=T9_SCALE, datasets=multi, block_bytes=bs)
             assert t9[f"hmean_{label}"].to_dict() == pytest.approx(want, rel=1e-12)
         assert (t9.hmean_md != t9.hmean_1d).any()  # dims reach the md cells only
 
-    def test_table10_matches_per_block_size_sweeps(self, spark):
-        t10 = table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA)
+    def test_table10_matches_per_block_size_sweeps(self, spark, t10):
         for bs, label in ((4096, "4K"), (65536, "64K")):
             want = _hmean_cr(spark, T10_METHODS, block_bytes=bs, **T10_DATA)
             assert t10.loc[(label, "avg-CR")].to_dict() == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda spark: table9(spark, scale=0.04),
-            lambda spark: table10(spark, block_sizes=(4096, 65536), methods=T10_METHODS, **T10_DATA),
-        ],
-        ids=["table9", "table10"],
-    )
-    def test_one_sweep_each_bin_run_once(self, spark, monkeypatch, build):
-        ran = spark.sparkContext.accumulator(0)
-        kernel = harness._run_partition
+    def test_one_sweep_each_bin_run_once(self, spark, sweeps):
+        calls, ran = sweeps
+        names = ("table04", "table09", "table10")
+        ctx = Context(scale=T9_SCALE, session=spark, builds=names)
+        for name in names:
+            run.TABLES[name](ctx)
+        assert len(calls) == 1
+        cells, bins = calls[0]
+        # the union of the three tables' cells, each once
+        assert len(cells) == len(set(cells))
+        assert set(cells) == {c for n in names for c in run.CELLS[n](T9_SCALE)}
+        # every table reads the cached sweep: no bin runs twice
+        assert ran.value == bins
 
-        def counted(batches, **kw):
-            ran.add(1)
-            yield from kernel(batches, **kw)
+    def test_shared_cells_match_standalone_sweeps(self, spark, sweeps):
+        calls, _ = sweeps
+        ctx = Context(scale=T9_SCALE, session=spark, builds=("table04",))
+        t4 = run.table04(ctx).frames["metrics"]
+        run.table09(ctx)
+        md_cells, flat_cells = table9_cells(T9_SCALE)
+        md = ctx.metrics(md_cells)[0]
+        # Table 9's md cells are Table 4's: the later call runs only the 1d ones
+        assert [cells for cells, _ in calls] == [table4_cells(T9_SCALE), flat_cells]
+        for got, cells in ((t4, table4_cells(T9_SCALE)), (md, md_cells)):
+            want = per_dataset_metrics(run_cells(spark, cells, scale=T9_SCALE)).toPandas()
+            pd.testing.assert_frame_equal(_by_dataset_method(got), _by_dataset_method(want))
 
-        bins = []
 
-        def spy(spark, cells, **kw):
-            res = harness.run_cells(spark, cells, **kw)
-            bins.append(res.rdd.getNumPartitions())
-            return res
-
-        monkeypatch.setattr(harness, "_run_partition", counted)
-        monkeypatch.setattr(tables, "run_cells", spy)
-        build(spark)
-        assert len(bins) == 1
-        # every configuration reads the cached sweep: no bin runs twice
-        assert ran.value == bins[0]
+def test_tables_module_imports_no_spark():
+    code = "import sys, repro.core.tables; assert not any(m.startswith('pyspark') for m in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
