@@ -184,15 +184,19 @@ class TestOneSweepPerTable:
             want = _hmean_cr(spark, T10_METHODS, block_bytes=bs, **T10_DATA)
             assert t10.loc[(label, "avg-CR")].to_dict() == pytest.approx(want, rel=1e-12)
 
-    def test_one_sweep_each_bin_run_once(self, spark, sweeps):
+    @pytest.mark.parametrize(
+        "names",
+        [("table09",), ("table10",), ("table04", "table09", "table10")],
+        ids=["table9", "table10", "tables4_9_10"],
+    )
+    def test_one_sweep_each_bin_run_once(self, spark, sweeps, names):
         calls, ran = sweeps
-        names = ("table04", "table09", "table10")
         ctx = Context(scale=T9_SCALE, session=spark, builds=names)
         for name in names:
             run.TABLES[name](ctx)
         assert len(calls) == 1
         cells, bins = calls[0]
-        # the union of the three tables' cells, each once
+        # the union of the tables' cells, each once
         assert len(cells) == len(set(cells))
         assert set(cells) == {c for n in names for c in run.CELLS[n](T9_SCALE)}
         # every table reads the cached sweep: no bin runs twice
