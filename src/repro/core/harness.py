@@ -4,9 +4,13 @@ The work unit is a cell, (dataset, method, block_bytes): ``None`` block
 bytes compress the whole dataset with its grid dims, an int cuts its
 flattened values into blocks of that size, compressed without dims.
 :func:`run_cells` packs any mix of cells onto one bin per core by longest
-processing time first (LPT), from a fixed per-method cost-per-byte table
-and each dataset's size, and ``mapInPandas`` runs one bin per task over
-``spark.range``, so no shuffle moves the work. The kernel takes its bin's
+processing time first (LPT), and ``mapInPandas`` runs one bin per task
+over ``spark.range``, so no shuffle moves the work. A cell's cost is the
+wall time the executors measured when this SparkContext last ran it, at
+the same scale and repeats, reported back through an accumulator
+(:func:`measured_costs`); until every cell of a plan has one, the plan
+uses the cold-start prior :func:`cell_cost`, a per-method cost-per-byte
+table times each dataset's size. The kernel takes its bin's
 cells dataset by dataset: it generates each dataset once (seeded by name,
 so executors and driver agree), cuts it for each cell, and runs the
 method on each block (compress, decompress, verify bit-exact roundtrip,
@@ -23,12 +27,15 @@ chunks with ``parallelize`` and time each job; their few rows are pandas too.
 from __future__ import annotations
 
 import heapq
+import time
 from functools import partial
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import pandas as pd
+from pyspark import Accumulator, AccumulatorParam, SparkContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
@@ -94,8 +101,13 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
 #: Measured codec seconds (compress + decompress + verify) per MB of
 #: input, run serially over the whole corpus at scale 0.5 on an Intel Xeon
 #: host. pFPC and Gorilla were re-measured with their vectorized encoders,
-#: against the previous encoders timed alternately on the same host. It
-#: only balances the bins; no result depends on it.
+#: against the previous encoders timed alternately on the same host. It is
+#: only the planner's prior, for cells this SparkContext has not yet run,
+#: and only balances the bins; no result depends on it. It has drifted:
+#: Gorilla now runs at about 0.10 s/MB in its units and Chimp at 0.21.
+#: The column stays as it is because recalibrating it from one session
+#: made the sweep's plan worse, and a planned sweep's measured costs
+#: replace the whole table from its second run on.
 _COST_S_PER_MB = {
     "pFPC": 0.16,
     "SPDP": 0.25,
@@ -152,19 +164,49 @@ def cell_cost(cell: Cell, scale: float) -> float:
     return nbytes / 1e6 * per_mb + nblocks * per_block
 
 
-def plan_bins(cells: Sequence[Cell], k: int, scale: float) -> tuple[tuple[Cell, ...], ...]:
+def plan_bins(
+    cells: Sequence[Cell], k: int, scale: float, measured: Mapping[Cell, float] | None = None
+) -> tuple[tuple[Cell, ...], ...]:
     """Pack ``cells`` onto ``k`` bins, longest processing time first: each
-    cell, costliest first, goes to the least-loaded bin. The makespan is
-    within 4/3 of the optimum (Graham 1969) and at most the mean load plus
-    the costliest cell. Ties go by (dataset, method), then input order."""
+    cell, costliest first, goes to the least-loaded bin. A cell costs its
+    ``measured`` seconds if every cell has one, else its :func:`cell_cost`.
+    The makespan is within 4/3 of the optimum (Graham 1969) and at most the
+    mean load plus the costliest cell. Ties go by (dataset, method), then
+    input order."""
+    if measured is None or not all(c in measured for c in cells):
+        measured = {c: cell_cost(c, scale) for c in cells}  # the cold-start prior
     bins: list[list[Cell]] = [[] for _ in range(k)]
     loads = [(0.0, b) for b in range(k)]
-    costed = sorted(((cell_cost(c, scale), c) for c in cells), key=lambda t: (-t[0], t[1][:2]))
+    costed = sorted(((measured[c], c) for c in cells), key=lambda t: (-t[0], t[1][:2]))
     for cost, cell in costed:
         load, b = heapq.heappop(loads)
         bins[b].append(cell)
         heapq.heappush(loads, (load + cost, b))
     return tuple(tuple(b) for b in bins)
+
+
+class _LatestWins(AccumulatorParam):
+    """Merges dicts, the latest value of a key replacing any earlier one."""
+
+    def zero(self, value: dict) -> dict:
+        return {}
+
+    def addInPlace(self, value1: dict, value2: dict) -> dict:
+        value1.update(value2)
+        return value1
+
+
+#: Each SparkContext's :func:`measured_costs` accumulator, dropped with it.
+_MEASURED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def measured_costs(sc: SparkContext) -> Accumulator:
+    """The accumulator in which ``sc``'s executors report, keyed by
+    ``(cell, scale, repeats)``, the seconds the latest run of that cell
+    took: the wall time of its blocks' :func:`run_cell` calls."""
+    if sc not in _MEASURED:
+        _MEASURED[sc] = sc.accumulator({}, _LatestWins())
+    return _MEASURED[sc]
 
 
 def _run_partition(
@@ -173,10 +215,12 @@ def _run_partition(
     plan: tuple[tuple[Cell, ...], ...],
     scale: float,
     repeats: int,
+    costs: Accumulator,
 ) -> Iterator[pd.DataFrame]:
     """Executor-side worker: run the cells of each bin id in the batch,
     dataset by dataset, generating each dataset once, cutting it for each
-    cell and holding only one dataset at a time."""
+    cell and holding only one dataset at a time. Each cell's wall time
+    goes to ``costs``."""
     for pdf in batches:
         out = []
         for bin_id in pdf.id:
@@ -187,6 +231,7 @@ def _run_partition(
                 for _, method, block_bytes in work:
                     # dims only for the whole dataset: a block does not match the grid
                     dims = arr.shape if block_bytes is None and arr.ndim > 1 else None
+                    t0 = time.perf_counter()
                     for block_id, block in enumerate(blocks(arr, block_bytes)):
                         out.append(
                             {
@@ -198,6 +243,8 @@ def _run_partition(
                                 **run_cell(method, block, dims, repeats),
                             }
                         )
+                    cell = (name, method, block_bytes)
+                    costs.add({(cell, scale, repeats): time.perf_counter() - t0})
                 del arr
         yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
 
@@ -206,9 +253,15 @@ def run_cells(
     spark: SparkSession, cells: Sequence[Cell], *, scale: float, repeats: int = 1
 ) -> DataFrame:
     """Run ``cells`` as one job, one :func:`plan_bins` bin per core (at most
-    one per cell) and one ``spark.range`` row, so one task, per bin."""
-    k = max(min(spark.sparkContext.defaultParallelism, len(cells)), 1)
-    kernel = partial(_run_partition, plan=plan_bins(cells, k, scale), scale=scale, repeats=repeats)
+    one per cell) and one ``spark.range`` row, so one task, per bin. The
+    plan uses the costs that earlier jobs measured for these cells."""
+    sc = spark.sparkContext
+    k = max(min(sc.defaultParallelism, len(cells)), 1)
+    costs = measured_costs(sc)
+    seen = costs.value
+    measured = {c: seen[c, scale, repeats] for c in cells if (c, scale, repeats) in seen}
+    plan = plan_bins(cells, k, scale, measured)
+    kernel = partial(_run_partition, plan=plan, scale=scale, repeats=repeats, costs=costs)
     return spark.range(0, k, 1, k).mapInPandas(kernel, schema=RESULT_SCHEMA)
 
 

@@ -79,6 +79,7 @@ class Context:
                 SparkSession.builder.appName("repro.run")
                 .config("spark.sql.execution.arrow.pyspark.enabled", "true")
                 .config("spark.python.daemon.module", DAEMON_MODULE)
+                .config("spark.ui.showConsoleProgress", "false")
                 .getOrCreate()
             )
             self.session.sparkContext.setLogLevel("ERROR")

@@ -1,4 +1,6 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
+import random
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,6 +14,7 @@ from repro.core.harness import (
     cached,
     cell_cost,
     failures,
+    measured_costs,
     per_dataset_metrics,
     plan_bins,
     run_benchmark,
@@ -166,10 +169,41 @@ class TestPlan:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
     def test_lpt_makespan_bound(self, k):
-        costs = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
-        plan = plan_bins(SWEEP_CELLS, k, 0.5)
-        makespan = max(sum(costs[c] for c in b) for b in plan)
-        assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
+        rng = random.Random(k)
+        measured = {c: rng.expovariate(10.0) for c in SWEEP_CELLS}
+        table = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
+        for costs, plan in (
+            (table, plan_bins(SWEEP_CELLS, k, 0.5)),
+            (measured, plan_bins(SWEEP_CELLS, k, 0.5, measured)),
+        ):
+            makespan = max(sum(costs[c] for c in b) for b in plan)
+            assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_measured_costs_reversing_the_table_isolate_the_costliest(self, k):
+        cells = sorted((("tpcxBB-store", m, None) for m in TABLE4_METHODS),
+                       key=lambda c: cell_cost(c, 1.0))
+        # the table's cheapest cell measures costliest, and outweighs the rest
+        measured = {c: float(len(cells) - i) for i, c in enumerate(cells)}
+        measured[cells[0]] = sum(measured.values())
+        (home,) = [b for b in plan_bins(cells, k, 1.0) if cells[0] in b]
+        assert len(home) > 1
+        (home,) = [b for b in plan_bins(cells, k, 1.0, measured) if cells[0] in b]
+        assert home == (cells[0],)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_a_missing_measurement_gives_the_table_plan(self, k):
+        measured = {c: float(i) for i, c in enumerate(SWEEP_CELLS)}
+        del measured[SWEEP_CELLS[7]]
+        assert plan_bins(SWEEP_CELLS, k, 0.5, measured) == plan_bins(SWEEP_CELLS, k, 0.5)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_equal_measured_costs_deal_cells_in_dataset_method_order(self, k):
+        cells = list(SWEEP_CELLS)
+        expected = tuple(tuple(sorted(cells)[b::k]) for b in range(k))
+        for seed in range(3):
+            random.Random(seed).shuffle(cells)
+            assert plan_bins(cells, k, 0.5, dict.fromkeys(cells, 0.25)) == expected
 
     def test_every_table4_method_has_a_cost(self):
         assert set(TABLE4_METHODS) <= set(_COST_S_PER_MB)
@@ -224,3 +258,36 @@ class TestPlan:
             out.collect()
             assert "Exchange" not in out._jdf.queryExecution().executedPlan().toString()
         many.unpersist()
+
+
+class TestMeasuredCosts:
+    CELLS = {(d, m, None) for d in TINY["datasets"] for m in FAST_METHODS}
+
+    def _sweep(self, spark) -> pd.DataFrame:
+        # a cached sweep with the same plan would answer the action unrun
+        spark.catalog.clearCache()
+        rows = run_benchmark(spark, FAST_METHODS, **TINY).toPandas()
+        return rows.sort_values(["dataset", "method", "block_id"], ignore_index=True)
+
+    def test_one_action_reports_one_positive_cost_per_cell(self, spark):
+        costs = measured_costs(spark.sparkContext)
+        costs.value = {}
+        self._sweep(spark)
+        assert set(costs.value) == {(c, TINY["scale"], 1) for c in self.CELLS}
+        assert all(t > 0 for t in costs.value.values())
+
+    def test_second_sweep_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
+        costs = measured_costs(spark.sparkContext)
+        costs.value = {}
+        first = self._sweep(spark)
+        reported = {cell: t for (cell, _, _), t in costs.value.items()}
+        calls = []
+        monkeypatch.setattr(
+            "repro.core.harness.plan_bins", lambda *args: calls.append(args) or plan_bins(*args)
+        )
+        second = self._sweep(spark)
+        ((cells, _, _, measured),) = calls
+        assert set(cells) == self.CELLS
+        assert measured == reported
+        columns = ["dataset", "method", "block_id", "comp_bytes", "ok"]
+        pd.testing.assert_frame_equal(second[columns], first[columns])

@@ -40,3 +40,8 @@ def test_table11_needs_no_session():
 def test_table09_rows(spark):
     t = table09(Context(scale=0.05, session=spark))
     assert list(t.frames["table09"].index) == DIM_METHODS
+
+
+def test_session_hides_the_console_progress_bar(spark):
+    # conftest's session is Context().spark's
+    assert spark.sparkContext.getConf().get("spark.ui.showConsoleProgress") == "false"
