@@ -1,10 +1,11 @@
 """One entry point for every evaluation table: ``python -m repro.run NAME...``.
 
 Each builder takes a :class:`Context` and returns a :class:`Table`: the
-frames it computed plus the exact text printed for it, which is also what
-``benchmarks/`` writes to ``benchmarks/out/NAME.txt``. The context starts a
-SparkSession only when a builder asks for one, and its first sweep runs the
-cells (:data:`CELLS`) of every table it will build once, as one job.
+frames it computed plus the exact text printed for it, which ``--out DIR``
+also writes to ``DIR/NAME.txt``; ``benchmarks/out/`` holds that output at
+``REPRO_SCALE=0.5``. The context starts a SparkSession only when a builder
+asks for one, and its first sweep runs the cells (:data:`CELLS`) of every
+table it will build once, as one job.
 
 Scale and repeats come from ``REPRO_SCALE`` (default 1.0) and
 ``REPRO_REPEATS`` (default 1).
@@ -16,6 +17,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -35,9 +37,11 @@ from repro.dbsim.store import format_table11
 from repro.dbsim.store import table11 as dbsim_table11
 from repro.roofline.model import measure_machine_roof, profile_codecs
 
-#: Tables 7/8: the paper's four parallel-capable methods and thread counts.
+#: Tables 7/8: the paper's four parallel-capable methods and thread counts,
+#: over msg-bt at this scale.
 SCALING_METHODS = ("pFPC", "shf+LZ4", "shf+zstd", "ndzip-C")
 SCALING_PARTITIONS = (1, 2, 4, 8, 16, 24, 32, 48)
+SCALING_SCALE = 24.0
 
 #: The Python worker daemon: Spark's own, without a per-task tax of zip
 #: directory reads (see ``repro.sparkdaemon``).
@@ -144,17 +148,11 @@ def table06(ctx: Context) -> Table:
     return Table("Table 6: end-to-end wall time (ms)", {"table06": t6}, _text(t6))
 
 
-def table07_08(
-    ctx: Context,
-    *,
-    methods=SCALING_METHODS,
-    partitions=SCALING_PARTITIONS,
-    scale: float = 24.0,
-) -> Table:
+def table07_08(ctx: Context) -> Table:
     """Threads → Spark partitions (DESIGN.md substitution #9)."""
     frames = []
-    for m in methods:
-        t = scaling_benchmark(ctx.spark, m, partitions, scale=scale)
+    for m in SCALING_METHODS:
+        t = scaling_benchmark(ctx.spark, m, SCALING_PARTITIONS, scale=SCALING_SCALE)
         t.insert(0, "method", m)
         frames.append(t)
     t = pd.concat(frames, ignore_index=True)
@@ -216,7 +214,10 @@ TABLES = {
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="python -m repro.run")
     parser.add_argument("tables", nargs="+", choices=TABLES, metavar="NAME", help=", ".join(TABLES))
+    parser.add_argument("--out", type=Path, metavar="DIR", help="also write each table's text to DIR/NAME.txt")
     args = parser.parse_args(argv)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
     ctx = Context(
         scale=float(os.environ.get("REPRO_SCALE", "1.0")),
         repeats=int(os.environ.get("REPRO_REPEATS", "1")),
@@ -227,6 +228,8 @@ def main(argv=None) -> None:
             t = TABLES[name](ctx)
             print(f"\n=== {t.title} ===")
             print(t.text, end="", flush=True)
+            if args.out is not None:
+                (args.out / f"{name}.txt").write_text(t.text)
     finally:
         if ctx.session is not None:
             ctx.session.stop()

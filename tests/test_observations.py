@@ -1,0 +1,70 @@
+"""The paper's headline shapes, over the table builders' frames at scale 0.5.
+
+One module-wide context declares the sweep-backed tables, so Tables 4, 5,
+6, 9 and 10 read one sweep job, as ``python -m repro.run`` runs them.
+"""
+import pytest
+
+from repro import run
+from repro.core.tables import DIM_METHODS, ranking_summary
+from repro.run import Context
+
+SCALE = 0.5
+
+
+@pytest.fixture(scope="module")
+def ctx(spark) -> Context:
+    builds = ("table04", "table05", "table06", "table09", "table10")
+    return Context(scale=SCALE, session=spark, builds=builds)
+
+
+def test_table03_lists_every_dataset():
+    assert len(run.table03(Context(scale=SCALE)).frames["table03"]) == 33
+
+
+def test_table04_ranking(ctx):
+    t = run.table04(ctx)
+    assert "Overall-avg" in t.frames["table04"].index
+    rs = ranking_summary(t.frames["metrics"])
+    # the paper's Table 4 / Fig. 7: bitshuffle-class on top, GFC low
+    assert rs.order[0] in ("shf+zstd", "shf+LZ4", "fpzip")
+    assert rs.order.index("GFC") > len(rs.order) // 2
+
+
+def test_table05_vectorized_outrun_serial(ctx):
+    t5 = run.table05(ctx).frames["table05"]
+    assert list(t5.index) == ["avg. comp", "avg. decomp"]
+    assert t5.loc["avg. comp", "MPC"] > t5.loc["avg. comp", "Gorilla"]
+    assert t5.loc["avg. comp", "nv::btcomp"] > t5.loc["avg. comp", "Chimp"]
+
+
+def test_table06_serial_codecs_dominate_walltime(ctx):
+    """Observation 5: serial codecs dominate wall time despite PCIe modeling."""
+    t6 = run.table06(ctx).frames["table06"]
+    assert not any(c.startswith("nv::") for c in t6.columns)
+    assert t6.loc["avg. comp", "Gorilla"] > t6.loc["avg. comp", "MPC"]
+
+
+def test_table09_no_significant_difference(ctx):
+    """Observation 6: compression is 1-d friendly."""
+    t9 = run.table09(ctx).frames["table09"]
+    assert list(t9.index) == DIM_METHODS
+    assert (t9.p_value.dropna() > 0.05).all()
+
+
+def test_table10_every_method_faster_on_larger_blocks(ctx):
+    """Observation 8: throughputs improve with larger blocks."""
+    t10 = run.table10(ctx).frames["table10"]
+    assert set(t10.index.get_level_values("blocksize")) == {"4K", "64K", "8M"}
+    ct4 = t10.loc[("4K", "avg-CT (GB/s)")]
+    ct64 = t10.loc[("64K", "avg-CT (GB/s)")]
+    assert (ct64 > ct4).all()
+
+
+def test_table11_retrieval_tracks_decode_speed():
+    """Observation 9: fpzip's slow decode costs more than shf+zstd's."""
+    raw = run.table11(Context(scale=SCALE)).frames["raw"]
+    ok = raw[raw.error.isna()]
+    assert len(ok) > 0
+    per_method = ok.groupby("method").decode_ms.mean()
+    assert per_method["fpzip"] > per_method["shf+zstd"]

@@ -29,6 +29,14 @@ def test_table03_needs_no_session():
     assert ctx.session is None
 
 
+def test_out_writes_the_printed_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    main(["--out", str(tmp_path), "table03"])
+    text = table03(Context(scale=0.05)).text
+    assert (tmp_path / "table03.txt").read_text() == text
+    assert text in capsys.readouterr().out
+
+
 def test_table11_needs_no_session():
     ctx = Context(scale=0.05)
     t11 = table11(ctx).frames["table11"]

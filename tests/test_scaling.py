@@ -5,13 +5,13 @@ from repro.core.harness import scaling_benchmark
 
 
 class TestScaling:
-    @pytest.fixture(scope="class")
-    def table(self, spark):
-        # pFPC is slow enough (MB/s) that per-chunk work dominates the
-        # Spark job overhead, so real parallel speedup is observable
+    # pFPC and shf+zstd are slow enough (MB/s) that per-chunk work
+    # dominates the Spark job overhead, so real parallel speedup is observable
+    @pytest.fixture(scope="class", params=["pFPC", "shf+zstd"])
+    def table(self, spark, request):
         return scaling_benchmark(
             spark,
-            "pFPC",
+            request.param,
             partition_counts=(1, 2, 4),
             scale=8.0,
         )
