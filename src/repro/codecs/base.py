@@ -13,7 +13,7 @@ which is exactly the paper's Table 9 "1d" configuration.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class MethodInfo:
     precision: str  # "S,D" | "D"
     arch: str  # CPU | GPU
     parallel: str  # serial | threads | SIMD + threads | SIMT
-    trait: str  # predictor family used in Fig. 6b groupings
-    group: str = "other"  # dictionary | delta | lorenzo | other (Fig. 6b)
 
 
 class Codec:

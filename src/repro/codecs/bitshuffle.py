@@ -69,7 +69,7 @@ def _inflate(comp: bytes) -> bytes:
 class BitshuffleLZ4(_BitshuffleBase):
     info = MethodInfo(
         name="shf+LZ4", year=2015, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads", trait="transform + dict.", group="dictionary",
+        parallel="SIMD + threads",
     )
     _backend_compress = staticmethod(lz_compress)
     _backend_decompress = staticmethod(lz_decompress)
@@ -79,7 +79,7 @@ class BitshuffleLZ4(_BitshuffleBase):
 class BitshuffleZstd(_BitshuffleBase):
     info = MethodInfo(
         name="shf+zstd", year=2015, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads", trait="transform + dict.", group="dictionary",
+        parallel="SIMD + threads",
     )
     _backend_compress = staticmethod(partial(zlib.compress, level=9))
     _backend_decompress = staticmethod(_inflate)

@@ -47,7 +47,7 @@ def _detect_precision(x: np.ndarray) -> int | None:
 class BUFF(Codec):
     info = MethodInfo(
         name="BUFF", year=2021, domain="Database", precision="S,D", arch="CPU",
-        parallel="serial", trait="delta", group="delta",
+        parallel="serial",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

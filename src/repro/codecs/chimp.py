@@ -56,7 +56,7 @@ def _round_lead(lz: np.ndarray) -> np.ndarray:
 class Chimp(Codec):
     info = MethodInfo(
         name="Chimp", year=2022, domain="Database", precision="S,D", arch="CPU",
-        parallel="serial", trait="delta", group="dictionary",
+        parallel="serial",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

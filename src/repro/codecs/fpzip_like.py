@@ -38,7 +38,7 @@ from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unz
 class FpzipLike(Codec):
     info = MethodInfo(
         name="fpzip", year=2006, domain="HPC", precision="S,D", arch="CPU",
-        parallel="serial", trait="Lorenzo", group="lorenzo",
+        parallel="serial",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
@@ -73,7 +73,7 @@ class FpzipLike(Codec):
         hlen = int.from_bytes(payload[2:10], "little")
         if len(payload) < 10 or 10 + tlen + hlen > len(payload):
             raise ValueError("fpzip stream truncated")
-        huff, _ = Huffman.deserialize(payload[10 : 10 + tlen])
+        huff = Huffman.deserialize(payload[10 : 10 + tlen])
         sym = huff.decode(payload[10 + tlen : 10 + tlen + hlen], count)
         rem_bits = np.maximum(sym - 1, 0)
         rem = unpack_bits(payload[10 + tlen + hlen :], rem_bits)

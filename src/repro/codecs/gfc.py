@@ -32,7 +32,7 @@ _LIMIT = 512 * 1024 * 1024  # original GFC cannot exceed 512 MB input
 class GFC(Codec):
     info = MethodInfo(
         name="GFC", year=2011, domain="HPC", precision="D", arch="GPU",
-        parallel="SIMT", trait="delta", group="delta",
+        parallel="SIMT",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

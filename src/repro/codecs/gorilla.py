@@ -54,7 +54,7 @@ _GALLOP_AFTER = 32
 class Gorilla(Codec):
     info = MethodInfo(
         name="Gorilla", year=2015, domain="Database", precision="D", arch="CPU",
-        parallel="serial", trait="delta", group="delta",
+        parallel="serial",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

@@ -138,9 +138,7 @@ class Huffman:
         return bytes([self.lengths.size]) + self.lengths.tobytes()
 
     @classmethod
-    def deserialize(cls, buf: bytes, off: int = 0) -> tuple["Huffman", int]:
-        if off >= len(buf):
+    def deserialize(cls, buf: bytes) -> "Huffman":
+        if not buf:
             raise ValueError("Huffman table truncated")
-        size = buf[off]
-        lengths = np.frombuffer(buf, dtype=np.uint8, count=size, offset=off + 1)
-        return cls(lengths), off + 1 + size
+        return cls(np.frombuffer(buf, dtype=np.uint8, count=buf[0], offset=1))

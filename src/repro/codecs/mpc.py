@@ -43,7 +43,7 @@ def _pad_to_chunks(w: np.ndarray) -> np.ndarray:
 class MPC(Codec):
     info = MethodInfo(
         name="MPC", year=2015, domain="HPC", precision="S,D", arch="GPU",
-        parallel="SIMT", trait="transform+delta", group="delta",
+        parallel="SIMT",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

@@ -104,7 +104,7 @@ class _NdzipBase(Codec):
 class NdzipCPU(_NdzipBase):
     info = MethodInfo(
         name="ndzip-C", year=2021, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads", trait="transform+Lorenzo", group="lorenzo",
+        parallel="SIMD + threads",
     )
 
 
@@ -112,5 +112,5 @@ class NdzipCPU(_NdzipBase):
 class NdzipGPU(_NdzipBase):
     info = MethodInfo(
         name="ndzip-G", year=2021, domain="HPC", precision="S,D", arch="GPU",
-        parallel="SIMT", trait="transform + Lorenzo", group="lorenzo",
+        parallel="SIMT",
     )

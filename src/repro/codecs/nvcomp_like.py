@@ -34,7 +34,7 @@ _BC_BLOCK = 512  # packing-width granularity; small enough to elide zero runs
 class NvLZ4(Codec):
     info = MethodInfo(
         name="nv::LZ4", year=2020, domain="general", precision="S,D", arch="GPU",
-        parallel="SIMT", trait="transform + dict.", group="dictionary",
+        parallel="SIMT",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
@@ -48,7 +48,7 @@ class NvLZ4(Codec):
 class NvBitcomp(Codec):
     info = MethodInfo(
         name="nv::btcomp", year=2020, domain="general", precision="S,D", arch="GPU",
-        parallel="SIMT", trait="transform + prediction", group="delta",
+        parallel="SIMT",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

@@ -132,7 +132,7 @@ def _values_dict_tables(use_dfcm: list, resids: list) -> list:
 class PFPC(Codec):
     info = MethodInfo(
         name="pFPC", year=2009, domain="HPC", precision="D", arch="CPU",
-        parallel="threads", trait="prediction", group="delta",
+        parallel="threads",
     )
 
     def __init__(self, n_threads: int = 8) -> None:

@@ -60,7 +60,7 @@ def _dim8_inverse(b: np.ndarray) -> np.ndarray:
 class SPDP(Codec):
     info = MethodInfo(
         name="SPDP", year=2018, domain="HPC", precision="S,D", arch="CPU",
-        parallel="serial", trait="dictionary", group="dictionary",
+        parallel="serial",
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:

@@ -132,15 +132,15 @@ def read_bits_at(words: np.ndarray, starts: np.ndarray, nbits) -> np.ndarray:
     return np.where(nb == 0, _U64(0), res)
 
 
-def unpack_bits(buf: bytes, nbits: np.ndarray, start_bit: int = 0) -> np.ndarray:
+def unpack_bits(buf: bytes, nbits: np.ndarray) -> np.ndarray:
     """Vectorized inverse of :func:`pack_bits` for known per-value widths.
 
-    Reads ``len(nbits)`` values from ``buf`` starting at ``start_bit``.
+    Reads ``len(nbits)`` values from the start of ``buf``.
     """
     nb = np.ascontiguousarray(nbits, dtype=np.int64)
     if nb.size == 0:
         return np.zeros(0, dtype=_U64)
-    ends = start_bit + np.cumsum(nb)
+    ends = np.cumsum(nb)
     if int(ends[-1]) > len(buf) * 8:
         raise ValueError("bitstream truncated")
     return read_bits_at(be_words(buf), ends - nb, nb)

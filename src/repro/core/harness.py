@@ -272,13 +272,12 @@ def run_benchmark(
     scale: float = 1.0,
     datasets: Sequence[str] | None = None,
     block_bytes: int | None = None,
-    repeats: int = 1,
 ) -> DataFrame:
     """The codec sweep of ``methods`` over ``datasets`` (default: the
     corpus), every cell with the same ``block_bytes``: :func:`run_cells`."""
     specs = [get_spec(n) for n in datasets] if datasets else corpus()
     cells = [(s.name, m, block_bytes) for s in specs for m in methods]
-    return run_cells(spark, cells, scale=scale, repeats=repeats)
+    return run_cells(spark, cells, scale=scale)
 
 
 #: The sums per (dataset, domain, method) that :func:`per_dataset_metrics`
@@ -397,7 +396,11 @@ def scaling_benchmark(
     for _ in range(_SCALING_RUNS):
         for i, (job, expected) in enumerate(jobs):
             got, ns = best_of(1, job)
-            assert got == expected
+            if got != expected:  # not an assert, which python -O strips
+                raise RuntimeError(
+                    f"{method} at {counts[i // 2]} partitions: "
+                    f"{('compress', 'decompress')[i % 2]} job got {got}, expected {expected}"
+                )
             best_ns[i] = min(best_ns[i], ns)
     mbs = total / np.reshape(best_ns, (-1, 2)) * 1e3  # bytes per ns * 1e3 = MB/s
     out = pd.DataFrame({"partitions": counts, "comp_mbs": mbs[:, 0], "decomp_mbs": mbs[:, 1]})

@@ -67,12 +67,9 @@ def _field(g: np.random.Generator, shape, octaves: int = 3, noise: float = 1e-4)
     return out + g.normal(scale=noise * np.abs(out).mean(), size=shape)
 
 
-def _walk(g, shape, step: float = 1.0, decimals: int | None = None):
+def _walk(g, shape):
     """1-D random walk (message/streaming analog)."""
-    x = np.cumsum(g.normal(scale=step, size=int(np.prod(shape))))
-    if decimals is not None:
-        x = np.round(x, decimals)
-    return x.reshape(shape)
+    return np.cumsum(g.normal(scale=0.7, size=int(np.prod(shape)))).reshape(shape)
 
 
 def _sensor(g, shape, decimals: int, period: float = 500.0, amp: float = 20.0):
@@ -89,7 +86,7 @@ def _sensor(g, shape, decimals: int, period: float = 500.0, amp: float = 20.0):
     return np.round(x, decimals).reshape(shape)
 
 
-def _sparse_bg(g, shape, active_frac: float = 0.03, levels: int = 40):
+def _sparse_bg(g, shape):
     """Near-constant background with a small *contiguous* active region
     (astro-mhd: the colliding-wind zone occupies a corner of an otherwise
     empty grid, so the flattened stream has long constant runs)."""
@@ -101,9 +98,9 @@ def _sparse_bg(g, shape, active_frac: float = 0.03, levels: int = 40):
     bounds = np.sort(g.integers(0, out.size, n_runs - 1))
     for v, (a, b) in zip(run_vals, zip(np.r_[0, bounds], np.r_[bounds, out.size])):
         flat[a:b] = v
-    n_active = int(out.size * active_frac)
+    n_active = int(out.size * 0.15)
     start = int(g.integers(0, max(out.size - n_active, 1)))
-    vals = np.round(g.normal(size=n_active) * 3 * levels) / levels
+    vals = np.round(g.normal(size=n_active) * 3 * 40) / 40  # steps of 1/40
     flat[start : start + n_active] = vals
     return out
 
@@ -211,7 +208,7 @@ def _specs() -> list[DatasetSpec]:
 
     # HPC ------------------------------------------------------------------
     add("msg-bt", "HPC", "D", (65536,), 266_389_432, 23.67, (33298679,),
-        lambda g, sh: _walk(g, sh, step=0.7))
+        _walk)
     add("num-brain", "HPC", "D", (65536,), 141_840_000, 23.97, (17730000,),
         lambda g, sh: _field(g, sh, octaves=3, noise=1e-3) + 8.0)
     add("num-control", "HPC", "D", (65536,), 159_504_744, 24.14, (19938093,),
@@ -219,7 +216,7 @@ def _specs() -> list[DatasetSpec]:
     add("rsim", "HPC", "S", (128, 512), 94_281_728, 18.50, (2048, 11509),
         lambda g, sh: _field(g, sh, octaves=2, noise=1e-3) * 40 + 200.0)
     add("astro-mhd", "HPC", "D", (16, 64, 64), 548_458_560, 0.97, (130, 514, 1026),
-        lambda g, sh: _sparse_bg(g, sh, active_frac=0.15))
+        _sparse_bg)
     add("astro-pt", "HPC", "D", (32, 32, 64), 671_088_640, 26.32, (512, 256, 640),
         lambda g, sh: _noisy(g, sh, scale=1e3))
     add("miranda3d", "HPC", "S", (48, 48, 32), 4_294_967_296, 23.08, (1024, 1024, 1024),

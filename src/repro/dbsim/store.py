@@ -73,14 +73,11 @@ def store_compressed(
         "orig_bytes": int(arr.nbytes),
         "comp_bytes": sum(map(len, payloads)),
         "n_chunks": n,
-        "shape": arr.shape,
     }
 
 
 @dataclass
 class QueryTiming:
-    dataset: str
-    method: str
     read_ms: float
     decode_ms: float
     query_ms: float
@@ -119,8 +116,6 @@ def read_decode_query(spark, path: str, dataset: str, method: str) -> QueryTimin
     t4 = time.perf_counter()
 
     return QueryTiming(
-        dataset=dataset,
-        method=method,
         read_ms=(t1 - t0) * 1e3,
         decode_ms=(t2 - t1) * 1e3,
         query_ms=(t4 - t3) * 1e3 / len(edges),

@@ -30,6 +30,9 @@ from repro.codecs.base import load_codec
 from repro.core.metrics import best_of
 from repro.data.corpus import generate, get_spec
 
+#: The dataset the paper profiles (§6.3).
+DATASET = "msg-bt"
+
 #: Arithmetic-intensity estimates (ops per byte of input) for each
 #: method's dominant stage, from the algorithm structure (§3-§4):
 #: pure byte/bit transforms ≈ O(1) op/byte; bit-serial control flow and
@@ -98,11 +101,10 @@ class RooflinePoint:
     utilization: float      # achieved / roof
 
 
-def profile_codecs(
-    methods, roof: MachineRoof, *, dataset: str = "msg-bt", scale: float = 0.5
-) -> list[RooflinePoint]:
-    """Place each codec under the roof using its best-of-3 compression time."""
-    arr = generate(get_spec(dataset), scale)
+def profile_codecs(methods, roof: MachineRoof, *, scale: float = 0.5) -> list[RooflinePoint]:
+    """Place each codec under the roof using its best-of-3 compression time
+    on :data:`DATASET`."""
+    arr = generate(get_spec(DATASET), scale)
     points = []
     for m in methods:
         codec = load_codec(m)

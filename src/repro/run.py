@@ -84,6 +84,8 @@ class Context:
                 .config("spark.sql.execution.arrow.pyspark.enabled", "true")
                 .config("spark.python.daemon.module", DAEMON_MODULE)
                 .config("spark.ui.showConsoleProgress", "false")
+                .config("spark.ui.enabled", "false")
+                .config("spark.driver.host", "127.0.0.1")
                 .getOrCreate()
             )
             self.session.sparkContext.setLogLevel("ERROR")
@@ -189,7 +191,7 @@ def table11(ctx: Context) -> Table:
 def roofline(ctx: Context) -> Table:
     """Fig. 11 companion: machine roof and per-method placement (msg-bt analog)."""
     roof = measure_machine_roof()
-    pts = profile_codecs(TABLE4_METHODS, roof, scale=0.5)
+    pts = profile_codecs(TABLE4_METHODS, roof)
     pdf = pd.DataFrame(map(asdict, pts)).rename(columns={"ai": "ai_ops_per_byte"})
     head = (
         f"machine roof: mem={roof.mem_bw_gbs:.1f} GB/s, compute={roof.compute_gops:.1f} GOPS, "

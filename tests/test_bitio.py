@@ -88,11 +88,6 @@ class TestPackUnpackBits:
         buf = pack_bits(np.array([0b101, 0b11111], np.uint64), np.array([3, 5]))
         assert buf == bytes([0b10111111])
 
-    def test_start_bit_offset(self):
-        buf = pack_bits(np.array([0b1, 0b1010], np.uint64), np.array([1, 4]))
-        out = unpack_bits(buf, np.array([4]), start_bit=1)
-        assert out[0] == 0b1010
-
     def test_64bit_values(self):
         vals = np.array([2**64 - 1, 2**63 + 5], dtype=np.uint64)
         buf = pack_bits(vals, np.array([64, 64]))
@@ -161,10 +156,6 @@ class TestPackUnpackBytes:
     def test_byte_order_msb_first(self):
         buf = pack_bits(np.array([0x0102], np.uint64), np.array([16]))
         assert buf == bytes([0x01, 0x02])
-
-    def test_start_byte(self):
-        buf = b"\xff" + pack_bits(np.array([0xAB], np.uint64), np.array([8]))
-        assert unpack_bits(buf, np.array([8]), start_bit=8)[0] == 0xAB
 
 
 class TestPreviousSameKey:

@@ -35,7 +35,7 @@ class TestHuffmanRoundtrip:
     def _roundtrip(self, symbols, alphabet):
         h = Huffman.from_symbols(symbols, alphabet)
         buf = h.encode(symbols)
-        h2, _ = Huffman.deserialize(h.serialize())
+        h2 = Huffman.deserialize(h.serialize())
         out = h2.decode(buf, len(symbols))
         np.testing.assert_array_equal(out, symbols)
         return buf
@@ -89,6 +89,10 @@ class TestHuffmanRejects:
     def test_empty_table_buffer(self):
         with pytest.raises(ValueError):
             Huffman.deserialize(b"")
+
+    def test_short_table_buffer(self):
+        with pytest.raises(ValueError):
+            Huffman.deserialize(bytes([3, 1, 2]))
 
     def test_more_symbols_than_bits(self):
         with pytest.raises(ValueError):

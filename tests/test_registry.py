@@ -64,11 +64,6 @@ def test_gpu_methods_partition():
     assert GPU_METHODS == {m for m in TABLE4_METHODS if all_methods()[m].arch == "GPU"}
 
 
-def test_predictor_groups_cover_fig6b():
-    groups = {all_methods()[m].group for m in TABLE4_METHODS}
-    assert {"dictionary", "delta", "lorenzo"} <= groups
-
-
 def test_load_codec_returns_fresh_instances():
     a, b = load_codec("Gorilla"), load_codec("Gorilla")
     assert a is not b

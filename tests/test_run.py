@@ -53,3 +53,10 @@ def test_table09_rows(spark):
 def test_session_hides_the_console_progress_bar(spark):
     # conftest's session is Context().spark's
     assert spark.sparkContext.getConf().get("spark.ui.showConsoleProgress") == "false"
+
+
+def test_session_binds_the_driver_to_loopback_without_a_web_ui(spark):
+    # Context.spark sets both; conftest passes only the driver heap
+    conf = spark.sparkContext.getConf()
+    assert conf.get("spark.ui.enabled") == "false"
+    assert conf.get("spark.driver.host") == "127.0.0.1"

@@ -57,3 +57,12 @@ def test_each_job_is_one_stage(spark):
     assert len(jobs) == 1 + 2 * 3 * len(counts)
     for j in jobs:
         assert len(tracker.getJobInfo(j).stageIds) == 1
+
+
+def test_a_wrong_job_result_raises(spark, monkeypatch):
+    """The check of each timed job's result raises, so ``python -O`` keeps it."""
+    import repro.core.harness as harness
+
+    monkeypatch.setattr(harness, "best_of", lambda runs, fn: (fn() + 1, 1))
+    with pytest.raises(RuntimeError, match=r"^pFPC at 2 partitions: compress job got 2, expected 1$"):
+        scaling_benchmark(spark, "pFPC", (2,), scale=0.05)
