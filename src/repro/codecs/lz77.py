@@ -12,9 +12,17 @@ LZ4-like:
 The last sequence carries literals only (stream ends after them), exactly
 like the LZ4 block format. Offsets are bounded by a 64 KiB window.
 
-Pure Python by design — the container has no LZ4/zstd wheels and no
-network; see DESIGN.md substitution #2. Skip acceleration (step grows on
-successive misses) keeps throughput tolerable on incompressible float data.
+Pure Python by design — no LZ4/zstd bindings are assumed; see DESIGN.md
+substitution #2. Skip acceleration (step grows on successive misses) keeps
+throughput tolerable on incompressible float data.
+
+Both loops have a fast path for the common sequence, whose literal run is
+under 15 bytes and whose match is under 19, so it needs no extension
+bytes: the encoder writes its token, literals and offset inline, and the
+decoder copies no literals when there are none. Most matches on the
+corpus stop at 4 bytes, so the encoder tests the fifth byte before it
+extends a match by 8-byte strides. Sequences with extension bytes go
+through ``_emit``; the bytes are those of the plain greedy parse.
 """
 from __future__ import annotations
 
@@ -42,27 +50,47 @@ def lz_compress(data: bytes) -> bytes:
     if n == 0:
         return bytes(out)
     table: dict[bytes, int] = {}
+    # the loop reads only locals: a global lookup per miss is measurable
+    get = table.get
+    put = out.append
+    limit = n - _MIN_MATCH
+    max_off = _MAX_OFFSET
+    skip = _SKIP_TRIGGER
+    reset = 1 << skip
     anchor = 0
     i = 0
-    search = 1 << _SKIP_TRIGGER
-    while i < n - _MIN_MATCH:
+    search = reset
+    while i < limit:
         key = data[i : i + 4]
-        j = table.get(key, -1)
+        j = get(key, -1)
         table[key] = i
-        if j >= 0 and i - j <= _MAX_OFFSET:
-            # extend the guaranteed 4-byte match (8-byte strides, then bytes)
+        if j >= 0 and i - j <= max_off:
+            # extend the guaranteed 4-byte match: most stop at 4, so test
+            # the fifth byte before the 8-byte strides, then bytes
             l = 4
-            maxl = n - i
-            while l + 8 <= maxl and data[i + l : i + l + 8] == data[j + l : j + l + 8]:
-                l += 8
-            while l < maxl and data[i + l] == data[j + l]:
-                l += 1
-            _emit(out, data, anchor, i, i - j, l)
+            if data[i + 4] == data[j + 4]:
+                l = 5
+                maxl = n - i
+                while l + 8 <= maxl and data[i + l : i + l + 8] == data[j + l : j + l + 8]:
+                    l += 8
+                while l < maxl and data[i + l] == data[j + l]:
+                    l += 1
+            ll = i - anchor
+            if ll < 15 and l < 19:
+                # no length extension bytes: the token, literals, offset
+                off = i - j
+                put(ll << 4 | l - 4)
+                if ll:
+                    out += data[anchor:i]
+                put(off & 0xFF)
+                put(off >> 8)
+            else:
+                _emit(out, data, anchor, i, i - j, l)
             i += l
             anchor = i
-            search = 1 << _SKIP_TRIGGER
+            search = reset
         else:
-            i += search >> _SKIP_TRIGGER
+            i += search >> skip
             search += 1
     # final literal-only sequence
     ll = n - anchor
@@ -75,6 +103,7 @@ def lz_compress(data: bytes) -> bytes:
 
 
 def _emit(out: bytearray, data: bytes, anchor: int, i: int, off: int, mlen: int) -> None:
+    """Write a sequence whose literal or match length needs extension bytes."""
     ll = i - anchor
     ml = mlen - _MIN_MATCH
     out.append((min(ll, 15) << 4) | min(ml, 15))
@@ -101,30 +130,33 @@ def lz_decompress(blob: bytes) -> bytes:
             token = blob[p]
             p += 1
             ll = token >> 4
-            if ll == 15:
-                while True:
-                    b = blob[p]
-                    p += 1
-                    ll += b
-                    if b < 255:
-                        break
-            out += blob[p : p + ll]
-            p += ll
+            if ll:  # most sequences carry no literals
+                if ll == 15:
+                    while True:
+                        b = blob[p]
+                        p += 1
+                        ll += b
+                        if b < 255:
+                            break
+                out += blob[p : p + ll]
+                p += ll
+            # outside ``if ll``: a zero-literal token may end the stream too
             if p >= n:  # final literal-only sequence
                 break
             off = blob[p] | blob[p + 1] << 8  # u16le, read without a slice
             p += 2
             ml = (token & 0xF) + _MIN_MATCH
-            if (token & 0xF) == 15:
+            if ml == 19:  # 15 in the match nibble: extension bytes follow
                 while True:
                     b = blob[p]
                     p += 1
                     ml += b
                     if b < 255:
                         break
-            if not 0 < off <= len(out):
-                raise ValueError(f"LZ77 match offset {off} outside the {len(out)} bytes decoded")
-            start = len(out) - off
+            size = len(out)
+            if not 0 < off <= size:
+                raise ValueError(f"LZ77 match offset {off} outside the {size} bytes decoded")
+            start = size - off
             # an overlapping copy repeats the last ``off`` bytes: append all
             # that lies past ``start``, doubling it, until the rest fits
             while ml > off:

@@ -52,6 +52,16 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="offset"):
             lz_decompress(blob)
 
+    def test_stream_ending_in_a_bare_zero_literal_token(self):
+        # a match that runs to the last byte leaves a final sequence of
+        # one token with no literals, read where no literals were copied
+        data = bytes(range(1, 9)) * 2
+        blob = lz_compress(data)
+        assert blob == bytes([0x84]) + data[:8] + b"\x08\x00" + b"\x00"
+        assert lz_decompress(blob) == data
+        # the same after a match with no literals before it
+        assert lz_decompress(bytes([0x40]) + b"abcd" + b"\x04\x00" + b"\x00\x04\x00\x00") == b"abcd" * 3
+
     def test_every_prefix_decodes_or_raises_value_error(self):
         # 300+ literals (extension 255, 31), a ~700-byte run of zeros
         # (match extension 255, 255, …), then literals: cuts land inside
