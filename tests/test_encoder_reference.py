@@ -244,7 +244,7 @@ def _after_literals(lit: int, mlen: int) -> bytes:
     """``lit`` distinct bytes, then a match of ``mlen`` at offset ``lit``
     repeating them, then bytes that end the match and match nothing."""
     head = bytes(range(100, 100 + lit))
-    return head + (head * (mlen // lit + 1))[:mlen] + b"\x01\x02\x03\x04\x05"
+    return head + (head * (mlen // lit + 1))[:mlen] + _TAIL
 
 
 def _at_offset(off: int) -> bytes:
@@ -277,10 +277,9 @@ def test_lz_offsets_at_the_byte_and_window_bounds(off):
     "data",
     [
         *(bytes(range(k)) for k in range(10)),
-        *(b"\x07" * k for k in range(10)),
+        *(b"\x07" * k for k in range(1, 10)),
         _UNIQUE + _UNIQUE,  # a match that runs to the last byte
         _UNIQUE * 5 + b"x",  # an overlapping match at offset 8
-        bytes(1),
         bytes(5000),  # one match at offset 1, with extension bytes
         b"\x00" * 300 + _UNIQUE + b"\x00" * 3000,
         *(bytes(range(256)) * k for k in (1, 2, 7)),
