@@ -9,12 +9,13 @@ over ``spark.range``, so no shuffle moves the work. A cell's cost is the
 wall time the executors measured when this SparkContext last ran it, at
 the same scale and repeats, reported back through an accumulator
 (:func:`measured_costs`); until every cell of a plan has one, the plan
-uses the cold-start prior :func:`cell_cost`, a per-method cost-per-byte
-table times each dataset's size. The kernel takes its bin's
-cells dataset by dataset: it generates each dataset once (seeded by name,
-so executors and driver agree), cuts it for each cell, and runs the
-method on each block (compress, decompress, verify bit-exact roundtrip,
-time both), one result row per (dataset, block size, block, method).
+uses the prior :func:`cell_cost`, each cell's cost per byte as an earlier
+run recorded it (:data:`COST_FILE`) times its dataset's size. The kernel
+takes its bin's cells dataset by dataset: it generates each dataset once
+(seeded by name, so executors and driver agree), cuts it for each cell,
+and runs the method on each block (compress, decompress, verify bit-exact
+roundtrip, time both), one result row per (dataset, block size, block,
+method).
 
 Spark SQL then aggregates one configuration's rows, in one task, into each
 (dataset, method)'s CR, CT, DT and wall times (:func:`per_dataset_metrics`,
@@ -27,9 +28,12 @@ chunks with ``parallelize`` and time each job; their few rows are pandas too.
 from __future__ import annotations
 
 import heapq
+import json
+import statistics
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
@@ -98,70 +102,49 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     return rec
 
 
-#: Measured codec seconds (compress + decompress + verify) per MB of
-#: input, run serially over the whole corpus at scale 0.5 on an Intel Xeon
-#: host. pFPC and Gorilla were re-measured with their vectorized encoders,
-#: against the previous encoders timed alternately on the same host. It is
-#: only the planner's prior, for cells this SparkContext has not yet run,
-#: and only balances the bins; no result depends on it. It has drifted:
-#: Gorilla now runs at about 0.10 s/MB in its units and Chimp at 0.21.
-#: The column stays as it is because recalibrating it from one session
-#: made the sweep's plan worse, and a planned sweep's measured costs
-#: replace the whole table from its second run on.
-_COST_S_PER_MB = {
-    "pFPC": 0.16,
-    "SPDP": 0.25,
-    "fpzip": 0.10,
-    "shf+LZ4": 0.19,
-    "shf+zstd": 0.070,
-    "ndzip-C": 0.039,
-    "BUFF": 0.0070,
-    "Gorilla": 0.17,
-    "Chimp": 0.24,
-    "GFC": 0.050,
-    "MPC": 0.034,
-    "nv::LZ4": 0.34,
-    "nv::btcomp": 0.011,
-    "ndzip-G": 0.037,
-}
-#: Measured codec seconds per block on top of the per-MB cost, for cells
-#: cut into blocks: over the corpus at scale 0.5, the serial time of 4 KiB
-#: blocks minus that of the whole datasets, per extra block. The host that
-#: measured them ran the 11 methods whose code had not changed since the
-#: per-MB column at 0.64 of that column's times (the median ratio), so each
-#: figure is its measurement divided by 0.64, in the per-MB column's units.
-_COST_S_PER_BLOCK = {
-    "pFPC": 0.0029,
-    "SPDP": 0.00015,
-    "fpzip": 0.00064,
-    "shf+LZ4": 0.00005,
-    "shf+zstd": 0.00004,
-    "ndzip-C": 0.00009,
-    "BUFF": 0.00020,
-    "Gorilla": 0.00058,
-    "Chimp": 0.00074,
-    "GFC": 0.00047,
-    "MPC": 0.00021,
-    "nv::LZ4": 0.00002,
-    "nv::btcomp": 0.00012,
-    "ndzip-G": 0.00010,
-}
-
 Cell = tuple[str, str, int | None]  # (dataset, method, block_bytes)
+
+#: Each cell's seconds per input byte, as the executors measured them in a
+#: run of ``python -m repro.run --out benchmarks/out``: the planner's prior
+#: for cells this SparkContext has not yet run. It only balances the bins;
+#: no result depends on it.
+COST_FILE = Path(__file__).resolve().parents[3] / "benchmarks" / "out" / "cell_costs.json"
+
+
+def write_cell_costs(
+    path: Path, sc: SparkContext, cells: Iterable[Cell], scale: float, repeats: int
+) -> None:
+    """Merge into ``path``, keys sorted, the seconds per input byte and per
+    repeat that ``sc``'s executors measured for each of ``cells`` at
+    ``scale`` and ``repeats``. With none measured, ``path`` is not written."""
+    seen = measured_costs(sc).value
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    ran = [c for c in cells if (c, scale, repeats) in seen]
+    for cell in ran:
+        per_byte = seen[cell, scale, repeats] / get_spec(cell[0]).nbytes(scale) / repeats
+        merged[" ".join(str(x) for x in cell if x is not None)] = float(f"{per_byte:.3g}")
+    if ran:
+        path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+
+
+@cache
+def recorded_costs() -> tuple[dict[Cell, float], float]:
+    """:data:`COST_FILE`'s costs, read once per process, and their mean (1
+    with no file, which prices cells by their bytes alone)."""
+    costs = {}
+    if COST_FILE.exists():
+        for key, cost in json.loads(COST_FILE.read_text()).items():
+            dataset, method, *block = key.split(" ")
+            costs[dataset, method, int(block[0]) if block else None] = cost
+    return costs, statistics.fmean(costs.values()) if costs else 1.0
 
 
 def cell_cost(cell: Cell, scale: float) -> float:
-    """Estimated seconds to run ``cell`` at ``scale``, from the dataset's
-    extent and dtype alone (nothing is generated): its MB times the
-    method's per-MB cost, plus, when it is cut into blocks, its blocks
-    times the method's per-block cost. An unknown method costs nothing: it
-    fails at once in the executor."""
-    dataset, method, block_bytes = cell
-    nbytes = get_spec(dataset).nbytes(scale)
-    nblocks = 0 if block_bytes is None else max(1, -(-nbytes // block_bytes))
-    per_mb = _COST_S_PER_MB.get(method, 0.0)
-    per_block = _COST_S_PER_BLOCK.get(method, 0.0)
-    return nbytes / 1e6 * per_mb + nblocks * per_block
+    """Estimated seconds to run ``cell`` once at ``scale``, with nothing
+    generated: its recorded cost per byte, or the mean of those recorded if
+    it has none, times the dataset's bytes at ``scale``."""
+    per_byte, mean = recorded_costs()
+    return per_byte.get(cell, mean) * get_spec(cell[0]).nbytes(scale)
 
 
 def plan_bins(
@@ -174,7 +157,7 @@ def plan_bins(
     mean load plus the costliest cell. Ties go by (dataset, method), then
     input order."""
     if measured is None or not all(c in measured for c in cells):
-        measured = {c: cell_cost(c, scale) for c in cells}  # the cold-start prior
+        measured = {c: cell_cost(c, scale) for c in cells}  # the recorded prior
     bins: list[list[Cell]] = [[] for _ in range(k)]
     loads = [(0.0, b) for b in range(k)]
     costed = sorted(((measured[c], c) for c in cells), key=lambda t: (-t[0], t[1][:2]))

@@ -67,8 +67,9 @@ def store_compressed(
         shutil.rmtree(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # the codec's bytes as they are, as in the paper's HDF5 chunks: Parquet's
-    # default snappy would add its own decoding to the read column
-    pq.write_table(table, path, compression="none")
+    # default snappy would add its own decoding to the read column, and its
+    # default dictionary would store, and read, equal chunks only once
+    pq.write_table(table, path, compression="none", use_dictionary=False)
     return {
         "orig_bytes": int(arr.nbytes),
         "comp_bytes": sum(map(len, payloads)),

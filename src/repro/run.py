@@ -5,7 +5,8 @@ frames it computed plus the exact text printed for it, which ``--out DIR``
 also writes to ``DIR/NAME.txt``; ``benchmarks/out/`` holds that output at
 ``REPRO_SCALE=0.5``. The context starts a SparkSession only when a builder
 asks for one, and its first sweep runs the cells (:data:`CELLS`) of every
-table it will build once, as one job.
+table it will build once, as one job. ``--out`` also merges the cells'
+measured costs into ``DIR/cell_costs.json`` (``harness.COST_FILE``).
 
 Scale and repeats come from ``REPRO_SCALE`` (default 1.0) and
 ``REPRO_REPEATS`` (default 1).
@@ -31,6 +32,7 @@ from repro.core.harness import (
     per_dataset_metrics,
     run_cells,
     scaling_benchmark,
+    write_cell_costs,
 )
 from repro.data.corpus import corpus_table
 from repro.dbsim.store import format_table11
@@ -232,6 +234,9 @@ def main(argv=None) -> None:
             print(t.text, end="", flush=True)
             if args.out is not None:
                 (args.out / f"{name}.txt").write_text(t.text)
+        if args.out is not None and ctx.session is not None:
+            sc = ctx.session.sparkContext
+            write_cell_costs(args.out / "cell_costs.json", sc, ctx._ran, ctx.scale, ctx.repeats)
     finally:
         if ctx.session is not None:
             ctx.session.stop()

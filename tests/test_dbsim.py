@@ -1,4 +1,6 @@
 """Simulated in-memory database (§5.1.2) tests, oracle-checked queries."""
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -86,6 +88,21 @@ class TestStoreFiles:
         )
         dtype = str(generate(get_spec("tpcDS-web"), 0.05).dtype)
         assert set(pd.read_parquet(path).dtype) == {dtype}
+
+    def test_equal_chunks_are_each_stored(self, tmp_path, monkeypatch):
+        # a constant dataset: every 4 KiB chunk compresses to the same payload
+        arr = np.full(64 * 512, 1.5)
+        monkeypatch.setattr("repro.dbsim.store.generate", lambda spec, scale: arr)
+        path = str(tmp_path / "blob")
+        info = store_compressed(None, path, "tpcH-order", "MPC", chunk_bytes=4096)
+        codec = load_codec("MPC")
+        payloads = [codec.compress(arr[i : i + 512]) for i in range(0, len(arr), 512)]
+        assert len(set(payloads)) == 1
+        assert info["comp_bytes"] == sum(map(len, payloads))
+        col = pq.ParquetFile(path).metadata.row_group(0).column(2)
+        assert not col.has_dictionary_page
+        assert os.path.getsize(path) >= info["comp_bytes"]
+        np.testing.assert_array_equal(_decoded(path, "MPC"), arr)
 
     def test_payload_is_stored_uncompressed(self, tmp_path):
         path = str(tmp_path / "blob")

@@ -1,4 +1,5 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
+import json
 import random
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.codecs.base import TABLE4_METHODS, load_codec
+from repro.core import harness
 from repro.core.harness import (
-    _COST_S_PER_BLOCK,
-    _COST_S_PER_MB,
     RESULT_SCHEMA,
     cached,
     cell_cost,
@@ -17,11 +17,13 @@ from repro.core.harness import (
     measured_costs,
     per_dataset_metrics,
     plan_bins,
+    recorded_costs,
     run_benchmark,
     run_cell,
+    write_cell_costs,
 )
 from repro.core.tables import table4
-from repro.data.corpus import blocks, corpus, generate, get_spec
+from repro.data.corpus import corpus, generate, get_spec
 from repro.oracle import assert_equivalent
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
@@ -159,6 +161,51 @@ class TestBlockMode:
 SWEEP_CELLS = [(s.name, m, None) for s in corpus() for m in TABLE4_METHODS]
 
 
+@pytest.fixture
+def cost_file(tmp_path, monkeypatch):
+    """``harness.COST_FILE`` moved to a path with no file yet, read afresh."""
+    path = tmp_path / "cell_costs.json"
+    monkeypatch.setattr(harness, "COST_FILE", path)
+    recorded_costs.cache_clear()
+    yield path
+    recorded_costs.cache_clear()
+
+
+class TestCostFile:
+    def test_merges_measured_costs_per_byte_with_sorted_keys(self, cost_file, spark):
+        whole, block = ("tpcH-order", "MPC", None), ("citytemp", "BUFF", 4096)
+        cost_file.write_text(json.dumps({"tpcH-order MPC": 1.0, "tpcH-order GFC": 1.0}))
+        costs = measured_costs(spark.sparkContext)
+        saved, costs.value = costs.value, {
+            (whole, 0.5, 2): 2.345678e-8 * 2 * get_spec("tpcH-order").nbytes(0.5),
+            (block, 0.5, 2): 3e-8 * 2 * get_spec("citytemp").nbytes(0.5),
+            (block, 0.25, 2): 1.0,  # another scale: not this run's
+        }
+        try:
+            write_cell_costs(cost_file, spark.sparkContext, [whole, block], 0.5, 2)
+        finally:
+            costs.value = saved
+        assert list(json.loads(cost_file.read_text())) == [
+            "citytemp BUFF 4096", "tpcH-order GFC", "tpcH-order MPC"
+        ]
+        # the costs are rounded to three significant digits
+        per_byte, mean = recorded_costs()
+        assert per_byte == {
+            block: 3e-8, ("tpcH-order", "GFC", None): 1.0, whole: 2.35e-8
+        }
+        assert mean == pytest.approx((3e-8 + 1.0 + 2.35e-8) / 3)
+
+    def test_no_measured_cell_writes_no_file(self, cost_file, spark):
+        write_cell_costs(cost_file, spark.sparkContext, [("tpcH-order", "nope", None)], 0.5, 1)
+        assert not cost_file.exists()
+
+    def test_is_read_once_per_process(self, cost_file):
+        cost_file.write_text(json.dumps({"tpcH-order MPC": 1e-8}))
+        first = recorded_costs()
+        cost_file.write_text(json.dumps({"tpcH-order MPC": 5e-8}))
+        assert recorded_costs() is first
+
+
 class TestPlan:
     @pytest.mark.parametrize("k", [1, 3, 4, 7])
     def test_every_cell_placed_once(self, k):
@@ -206,19 +253,25 @@ class TestPlan:
             assert plan_bins(cells, k, 0.5, dict.fromkeys(cells, 0.25)) == expected
 
     def test_every_table4_method_has_a_cost(self):
-        assert set(TABLE4_METHODS) <= set(_COST_S_PER_MB)
-        assert set(TABLE4_METHODS) <= set(_COST_S_PER_BLOCK)
+        per_byte, _ = recorded_costs()
+        assert set(TABLE4_METHODS) <= {m for _, m, _ in per_byte}
 
     @pytest.mark.parametrize("method", ["pFPC", "Chimp", "shf+zstd"])
-    def test_block_cells_add_a_cost_per_block(self, method):
-        # solar-wind's float32 values at scale 0.5 end in a partial block
+    def test_cells_are_priced_by_their_recorded_cost_per_byte(self, cost_file, method):
+        # a block cell has its own cost per byte, whatever its blocks number
+        whole, block = ("solar-wind", method, None), ("solar-wind", method, 4096)
+        costs = {f"solar-wind {method}": 2e-8, f"solar-wind {method} 4096": 6e-8}
+        cost_file.write_text(json.dumps(costs))
         nbytes = get_spec("solar-wind").nbytes(0.5)
-        whole = cell_cost(("solar-wind", method, None), 0.5)
-        assert whole == pytest.approx(nbytes / 1e6 * _COST_S_PER_MB[method])
-        for block_bytes in (4096, 65536, 8 << 20):
-            nblocks = len(blocks(np.zeros(nbytes // 4, np.float32), block_bytes))
-            cost = cell_cost(("solar-wind", method, block_bytes), 0.5)
-            assert cost == pytest.approx(whole + nblocks * _COST_S_PER_BLOCK[method])
+        assert cell_cost(whole, 0.5) == pytest.approx(2e-8 * nbytes)
+        assert cell_cost(block, 0.5) == pytest.approx(6e-8 * nbytes)
+        # a cell the file lacks costs the file's mean per byte
+        other = ("citytemp", method, 65536)
+        assert cell_cost(other, 2.0) == pytest.approx(4e-8 * get_spec("citytemp").nbytes(2.0))
+
+    def test_no_cost_file_prices_cells_by_their_bytes(self, cost_file):
+        for cell in SWEEP_CELLS[::50]:
+            assert cell_cost(cell, 0.5) == get_spec(cell[0]).nbytes(0.5)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_whole_and_flat_cells_of_one_pair_each_placed_once(self, k):

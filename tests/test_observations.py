@@ -1,7 +1,8 @@
 """The paper's headline shapes, over the table builders' frames at scale 0.5.
 
 One module-wide context declares the sweep-backed tables, so Tables 4, 5,
-6, 9 and 10 read one sweep job, as ``python -m repro.run`` runs them.
+6 and 9 read one sweep job, as ``python -m repro.run`` runs them. Table 10
+compares timings, so it has its own sweep, each cell timed best of 3.
 """
 import pytest
 
@@ -14,7 +15,7 @@ SCALE = 0.5
 
 @pytest.fixture(scope="module")
 def ctx(spark) -> Context:
-    builds = ("table04", "table05", "table06", "table09", "table10")
+    builds = ("table04", "table05", "table06", "table09")
     return Context(scale=SCALE, session=spark, builds=builds)
 
 
@@ -52,8 +53,11 @@ def test_table09_no_significant_difference(ctx):
     assert (t9.p_value.dropna() > 0.05).all()
 
 
-def test_table10_every_method_faster_on_larger_blocks(ctx):
-    """Observation 8: throughputs improve with larger blocks."""
+def test_table10_every_method_faster_on_larger_blocks(spark):
+    """Observation 8: throughputs improve with larger blocks. shf+LZ4's
+    64K and 4K cells do the same LZ77 work on 4 KiB bit-plane chunks and
+    differ by about 6%, so one slow sample would reverse them."""
+    ctx = Context(scale=SCALE, repeats=3, session=spark, builds=("table10",))
     t10 = run.table10(ctx).frames["table10"]
     assert set(t10.index.get_level_values("blocksize")) == {"4K", "64K", "8M"}
     ct4 = t10.loc[("4K", "avg-CT (GB/s)")]

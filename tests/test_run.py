@@ -1,8 +1,13 @@
-"""The table entry point: registry, name checking and three cheap builders."""
-import pytest
+"""The table entry point: registry, name checking, three cheap builders
+and the cell costs ``--out`` records."""
+import json
 
+import pytest
+from pyspark.sql import SparkSession
+
+from repro.core.harness import COST_FILE, recorded_costs
 from repro.core.tables import DIM_METHODS, TABLE11_METHODS
-from repro.run import TABLES, Context, main, table03, table09, table11
+from repro.run import CELLS, TABLES, Context, main, table03, table09, table11
 
 
 def test_registry_names():
@@ -60,3 +65,42 @@ def test_session_binds_the_driver_to_loopback_without_a_web_ui(spark):
     conf = spark.sparkContext.getConf()
     assert conf.get("spark.ui.enabled") == "false"
     assert conf.get("spark.driver.host") == "127.0.0.1"
+
+
+def _key(cell) -> str:
+    return " ".join(str(x) for x in cell if x is not None)
+
+
+def test_committed_costs_price_every_cell_the_tables_sweep():
+    assert COST_FILE.is_file()
+    per_byte, _ = recorded_costs()
+    cells = {c for cells_at in CELLS.values() for c in cells_at(0.5)}
+    assert cells <= set(per_byte)
+    assert all(per_byte[c] > 0 for c in cells)
+
+
+def test_out_merges_the_measured_costs_into_the_cost_file(tmp_path, monkeypatch, spark):
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    # main stops its session, which here is the tests' own
+    monkeypatch.setattr(SparkSession, "stop", lambda self: None)
+    swept, kept = list(CELLS["table09"](0.05)), ("citytemp", "nv::LZ4", 4096)
+    path = tmp_path / "cell_costs.json"
+    # one cell the run does not sweep, and one it measures afresh
+    path.write_text(json.dumps({_key(kept): 1.0, _key(swept[0]): 1.0}))
+    main(["--out", str(tmp_path), "table09"])
+    costs = json.loads(path.read_text())
+    assert list(costs) == sorted(map(_key, [*swept, kept]))
+    assert costs[_key(kept)] == 1.0
+    assert all(0 < costs[_key(c)] < 1.0 for c in swept)
+
+
+def test_a_table_without_a_sweep_leaves_the_cost_file_untouched(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    path = tmp_path / "cell_costs.json"
+    main(["--out", str(tmp_path), "table03"])
+    assert not path.exists()
+    path.write_text('{"citytemp MPC": 1.0}\n')
+    stat = path.stat()
+    main(["--out", str(tmp_path), "table03"])
+    assert path.read_text() == '{"citytemp MPC": 1.0}\n'
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
