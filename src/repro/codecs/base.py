@@ -116,7 +116,7 @@ def register(cls: type[Codec]) -> type[Codec]:
 
 
 def all_methods() -> dict[str, MethodInfo]:
-    _ensure_loaded()
+    import_codecs()
     return {name: cls.info for name, cls in _REGISTRY.items()}
 
 
@@ -156,7 +156,7 @@ TABLE10_METHODS = [
 GPU_METHODS = {"GFC", "MPC", "nv::LZ4", "nv::btcomp", "ndzip-G"}
 
 
-def _ensure_loaded() -> None:
+def import_codecs() -> None:
     """Import codec modules so their ``@register`` decorators run."""
     from repro.codecs import (  # noqa: F401
         bitshuffle,
@@ -179,7 +179,7 @@ def load_codec(name: str) -> Codec:
     Imports every codec module first, so it also works in fresh Spark
     executor workers.
     """
-    _ensure_loaded()
+    import_codecs()
     try:
         return _REGISTRY[name]()
     except KeyError:

@@ -5,12 +5,11 @@ bytes compress the whole dataset with its grid dims, an int cuts its
 flattened values into blocks of that size, compressed without dims.
 :func:`run_cells` packs any mix of cells onto one bin per core by longest
 processing time first (LPT), and ``mapInPandas`` runs one bin per task
-over ``spark.range``, so no shuffle moves the work. A cell's cost is the
-wall time the executors measured when this SparkContext last ran it, at
-the same scale and repeats, reported back through an accumulator
-(:func:`measured_costs`); until every cell of a plan has one, the plan
-uses the prior :func:`cell_cost`, each cell's cost per byte as an earlier
-run recorded it (:data:`COST_FILE`) times its dataset's size. The kernel
+over ``spark.range``, so no shuffle moves the work. A cell's cost
+(:func:`cell_cost`) is its seconds per input byte and repeat times its
+dataset's bytes at the plan's scale: as this SparkContext's executors last
+measured it, reported back through an accumulator (:func:`measured_costs`),
+else as an earlier run recorded it (:data:`COST_FILE`). The kernel
 takes its bin's cells dataset by dataset: it generates each dataset once
 (seeded by name, so executors and driver agree), cuts it for each cell,
 and runs the method on each block (compress, decompress, verify bit-exact
@@ -50,7 +49,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, load_codec
+from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, import_codecs, load_codec
 from repro.core.metrics import best_of
 from repro.data.corpus import blocks, corpus, generate, get_spec
 
@@ -104,27 +103,27 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
 
 Cell = tuple[str, str, int | None]  # (dataset, method, block_bytes)
 
-#: Each cell's seconds per input byte, as the executors measured them in a
-#: run of ``python -m repro.run --out benchmarks/out``: the planner's prior
-#: for cells this SparkContext has not yet run. It only balances the bins;
-#: no result depends on it.
+#: Each cell's seconds per input byte and repeat, as the executors measured
+#: them in a run of ``python -m repro.run --out benchmarks/out``: the
+#: planner's prior for cells this SparkContext has not yet run. It only
+#: balances the bins; no result depends on it.
 COST_FILE = Path(__file__).resolve().parents[3] / "benchmarks" / "out" / "cell_costs.json"
 
 
-def write_cell_costs(
-    path: Path, sc: SparkContext, cells: Iterable[Cell], scale: float, repeats: int
-) -> None:
+def cell_key(cell: Cell) -> str:
+    """``cell``'s key in :data:`COST_FILE` and ``repro.run``: "dataset method [block_bytes]"."""
+    return " ".join(str(x) for x in cell if x is not None)
+
+
+def write_cell_costs(path: Path, sc: SparkContext, cells: Iterable[Cell]) -> None:
     """Merge into ``path``, keys sorted, the seconds per input byte and per
-    repeat that ``sc``'s executors measured for each of ``cells`` at
-    ``scale`` and ``repeats``. With none measured, ``path`` is not written."""
+    repeat that ``sc``'s executors measured for each of ``cells``. With none
+    measured, ``path`` is not written."""
     seen = measured_costs(sc).value
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    ran = [c for c in cells if (c, scale, repeats) in seen]
-    for cell in ran:
-        per_byte = seen[cell, scale, repeats] / get_spec(cell[0]).nbytes(scale) / repeats
-        merged[" ".join(str(x) for x in cell if x is not None)] = float(f"{per_byte:.3g}")
+    ran = {cell_key(c): float(f"{seen[c]:.3g}") for c in cells if c in seen}
     if ran:
-        path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+        merged = json.loads(path.read_text()) if path.exists() else {}
+        path.write_text(json.dumps(merged | ran, indent=1, sort_keys=True) + "\n")
 
 
 @cache
@@ -139,28 +138,28 @@ def recorded_costs() -> tuple[dict[Cell, float], float]:
     return costs, statistics.fmean(costs.values()) if costs else 1.0
 
 
-def cell_cost(cell: Cell, scale: float) -> float:
+def cell_cost(cell: Cell, scale: float, measured: Mapping[Cell, float] = {}) -> float:
     """Estimated seconds to run ``cell`` once at ``scale``, with nothing
-    generated: its recorded cost per byte, or the mean of those recorded if
-    it has none, times the dataset's bytes at ``scale``."""
-    per_byte, mean = recorded_costs()
-    return per_byte.get(cell, mean) * get_spec(cell[0]).nbytes(scale)
+    generated: its cost per byte times the dataset's bytes at ``scale``. The
+    cost per byte is ``measured``'s, else the one :data:`COST_FILE` records,
+    else the mean of those recorded."""
+    recorded, mean = recorded_costs()
+    return measured.get(cell, recorded.get(cell, mean)) * get_spec(cell[0]).nbytes(scale)
 
 
 def plan_bins(
-    cells: Sequence[Cell], k: int, scale: float, measured: Mapping[Cell, float] | None = None
+    cells: Sequence[Cell], k: int, scale: float, measured: Mapping[Cell, float] = {}
 ) -> tuple[tuple[Cell, ...], ...]:
     """Pack ``cells`` onto ``k`` bins, longest processing time first: each
-    cell, costliest first, goes to the least-loaded bin. A cell costs its
-    ``measured`` seconds if every cell has one, else its :func:`cell_cost`.
-    The makespan is within 4/3 of the optimum (Graham 1969) and at most the
-    mean load plus the costliest cell. Ties go by (dataset, method), then
+    cell, costliest first by its :func:`cell_cost`, goes to the least-loaded
+    bin. The makespan is within 4/3 of the optimum (Graham 1969) and at most
+    the mean load plus the costliest cell. Ties go by (dataset, method), then
     input order."""
-    if measured is None or not all(c in measured for c in cells):
-        measured = {c: cell_cost(c, scale) for c in cells}  # the recorded prior
     bins: list[list[Cell]] = [[] for _ in range(k)]
     loads = [(0.0, b) for b in range(k)]
-    costed = sorted(((measured[c], c) for c in cells), key=lambda t: (-t[0], t[1][:2]))
+    costed = sorted(
+        ((cell_cost(c, scale, measured), c) for c in cells), key=lambda t: (-t[0], t[1][:2])
+    )
     for cost, cell in costed:
         load, b = heapq.heappop(loads)
         bins[b].append(cell)
@@ -184,9 +183,9 @@ _MEASURED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def measured_costs(sc: SparkContext) -> Accumulator:
-    """The accumulator in which ``sc``'s executors report, keyed by
-    ``(cell, scale, repeats)``, the seconds the latest run of that cell
-    took: the wall time of its blocks' :func:`run_cell` calls."""
+    """The accumulator in which ``sc``'s executors report, keyed by cell,
+    the latest run's cost per byte: the wall time of the cell's blocks'
+    :func:`run_cell` calls over the dataset's bytes and the repeats."""
     if sc not in _MEASURED:
         _MEASURED[sc] = sc.accumulator({}, _LatestWins())
     return _MEASURED[sc]
@@ -202,8 +201,9 @@ def _run_partition(
 ) -> Iterator[pd.DataFrame]:
     """Executor-side worker: run the cells of each bin id in the batch,
     dataset by dataset, generating each dataset once, cutting it for each
-    cell and holding only one dataset at a time. Each cell's wall time
-    goes to ``costs``."""
+    cell and holding only one dataset at a time. Each cell's cost per byte
+    and repeat goes to ``costs``."""
+    import_codecs()  # a fresh worker's imports are no cell's cost
     for pdf in batches:
         out = []
         for bin_id in pdf.id:
@@ -226,8 +226,8 @@ def _run_partition(
                                 **run_cell(method, block, dims, repeats),
                             }
                         )
-                    cell = (name, method, block_bytes)
-                    costs.add({(cell, scale, repeats): time.perf_counter() - t0})
+                    per_byte = (time.perf_counter() - t0) / arr.nbytes / max(repeats, 1)
+                    costs.add({(name, method, block_bytes): per_byte})
                 del arr
         yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
 
@@ -241,9 +241,7 @@ def run_cells(
     sc = spark.sparkContext
     k = max(min(sc.defaultParallelism, len(cells)), 1)
     costs = measured_costs(sc)
-    seen = costs.value
-    measured = {c: seen[c, scale, repeats] for c in cells if (c, scale, repeats) in seen}
-    plan = plan_bins(cells, k, scale, measured)
+    plan = plan_bins(cells, k, scale, costs.value)
     kernel = partial(_run_partition, plan=plan, scale=scale, repeats=repeats, costs=costs)
     return spark.range(0, k, 1, k).mapInPandas(kernel, schema=RESULT_SCHEMA)
 

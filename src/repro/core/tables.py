@@ -1,7 +1,7 @@
 """Builders that turn per-dataset metrics into the paper's evaluation tables.
 
 Pure pandas, with no Spark: each sweep-backed table declares its cells,
-(dataset, method, block_bytes) tuples, as a function of scale
+(dataset, method, block_bytes) tuples, which no scale changes
 (``table*_cells``; Tables 4, 5 and 6 share theirs, as in the paper), and
 its builder takes the per-dataset metrics of those cells, which
 ``repro.run`` computes and formats.
@@ -21,6 +21,9 @@ from repro.data.corpus import DOMAINS, corpus
 #: Table 9's methods: the ones whose predictors take dimension information.
 DIM_METHODS = ["GFC", "MPC", "fpzip", "ndzip-C", "ndzip-G"]
 
+#: Table 9's 1d block size, 1 TiB: larger than any dataset, so one flat block each.
+FLAT_BLOCK_BYTES = 1 << 40
+
 #: Table 11's methods (paper omits BUFF and the nvCOMP binaries there).
 TABLE11_METHODS = [
     "pFPC", "SPDP", "fpzip", "shf+LZ4", "shf+zstd", "ndzip-C",
@@ -32,8 +35,8 @@ def _ordered_columns(columns) -> list[str]:
     return [m for m in TABLE4_METHODS if m in set(columns)]
 
 
-def table4_cells(scale: float) -> list[tuple]:
-    """Tables 4-6's cells: every dataset whole (scale does not change them)."""
+def table4_cells() -> list[tuple]:
+    """Tables 4-6's cells: every dataset whole."""
     return [(s.name, m, None) for s in corpus() for m in TABLE4_METHODS]
 
 
@@ -101,12 +104,12 @@ def table6(metrics: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def table9_cells(scale: float) -> tuple[list[tuple], list[tuple]]:
+def table9_cells() -> tuple[list[tuple], list[tuple]]:
     """Table 9's md and 1d cells: each multi-dimensional dataset whole
     with its dims, and as one flat block of all its bytes."""
     multi = [s for s in corpus() if len(s.extent) > 1]
     md = [(s.name, m, None) for s in multi for m in DIM_METHODS]
-    flat = [(s.name, m, s.nbytes(scale)) for s in multi for m in DIM_METHODS]
+    flat = [(s.name, m, FLAT_BLOCK_BYTES) for s in multi for m in DIM_METHODS]
     return md, flat
 
 
@@ -121,8 +124,8 @@ def table9(md: pd.DataFrame, flat: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows).T.loc[DIM_METHODS]
 
 
-def table10_cells(scale: float) -> dict[int, list[tuple]]:
-    """Table 10's cells, one list per block size (scale does not change them)."""
+def table10_cells() -> dict[int, list[tuple]]:
+    """Table 10's cells, one list per block size."""
     sizes = (4096, 65536, 8 << 20)
     return {bs: [(s.name, m, bs) for s in corpus() for m in TABLE10_METHODS] for bs in sizes}
 

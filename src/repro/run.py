@@ -28,6 +28,7 @@ from repro.codecs.base import TABLE4_METHODS
 from repro.core import tables
 from repro.core.harness import (
     cached,
+    cell_key,
     failures,
     per_dataset_metrics,
     run_cells,
@@ -57,13 +58,13 @@ class Table:
     text: str
 
 
-#: The cells each sweep-backed builder reads, as a function of scale.
+#: The cells each sweep-backed builder reads.
 CELLS = {
-    "table04": tables.table4_cells,
-    "table05": tables.table4_cells,
-    "table06": tables.table4_cells,
-    "table09": lambda scale: chain(*tables.table9_cells(scale)),
-    "table10": lambda scale: chain(*tables.table10_cells(scale).values()),
+    "table04": tables.table4_cells(),
+    "table05": tables.table4_cells(),
+    "table06": tables.table4_cells(),
+    "table09": [*chain(*tables.table9_cells())],
+    "table10": [*chain(*tables.table10_cells().values())],
 }
 
 
@@ -99,16 +100,15 @@ class Context:
         ``cells`` and of the ``builds``' cells that no earlier call ran."""
         key = frozenset(cells)
         if key not in self._metrics:
-            declared = (CELLS[n](self.scale) for n in self.builds if n in CELLS)
+            declared = (CELLS[n] for n in self.builds if n in CELLS)
             todo = [c for c in dict.fromkeys(chain(cells, *declared)) if c not in self._ran]
             if todo:
                 res = cached(run_cells(self.spark, todo, scale=self.scale, repeats=self.repeats))
                 self._results = res if self._results is None else self._results.union(res)
                 self._ran.update(todo)
-            # concat_ws skips a null block_bytes
-            row_key = F.concat_ws("\t", "dataset", "method", F.col("block_bytes").cast("string"))
-            keys = ["\t".join(str(x) for x in c if x is not None) for c in key]
-            rows = self._results.where(row_key.isin(keys))
+            # concat_ws skips a null block_bytes, as cell_key skips None
+            row_key = F.concat_ws(" ", "dataset", "method", F.col("block_bytes").cast("string"))
+            rows = self._results.where(row_key.isin([cell_key(c) for c in key]))
             self._metrics[key] = (per_dataset_metrics(rows).toPandas(), failures(rows))
         return self._metrics[key]
 
@@ -124,7 +124,7 @@ def table03(ctx: Context) -> Table:
 
 
 def table04(ctx: Context) -> Table:
-    metrics, failed = ctx.metrics(tables.table4_cells(ctx.scale))
+    metrics, failed = ctx.metrics(tables.table4_cells())
     failed = failed.toPandas()
     t4 = tables.table4(metrics)
     rs = tables.ranking_summary(metrics)
@@ -143,12 +143,12 @@ def table04(ctx: Context) -> Table:
 
 
 def table05(ctx: Context) -> Table:
-    t5 = tables.table5(ctx.metrics(tables.table4_cells(ctx.scale))[0])
+    t5 = tables.table5(ctx.metrics(tables.table4_cells())[0])
     return Table("Table 5: (de)compression throughput (GB/s)", {"table05": t5}, _text(t5))
 
 
 def table06(ctx: Context) -> Table:
-    t6 = tables.table6(ctx.metrics(tables.table4_cells(ctx.scale))[0])
+    t6 = tables.table6(ctx.metrics(tables.table4_cells())[0])
     return Table("Table 6: end-to-end wall time (ms)", {"table06": t6}, _text(t6))
 
 
@@ -168,14 +168,13 @@ def table07_08(ctx: Context) -> Table:
 
 
 def table09(ctx: Context) -> Table:
-    md, flat = (ctx.metrics(cells)[0] for cells in tables.table9_cells(ctx.scale))
+    md, flat = (ctx.metrics(cells)[0] for cells in tables.table9_cells())
     t9 = tables.table9(md, flat)
     return Table("Table 9: dimension info influence on CR (md vs 1d)", {"table09": t9}, _text(t9))
 
 
 def table10(ctx: Context) -> Table:
-    cells = tables.table10_cells(ctx.scale)
-    t10 = tables.table10({bs: ctx.metrics(c)[0] for bs, c in cells.items()})
+    t10 = tables.table10({bs: ctx.metrics(c)[0] for bs, c in tables.table10_cells().items()})
     return Table("Table 10: performance under different block sizes", {"table10": t10}, _text(t10))
 
 
@@ -235,8 +234,7 @@ def main(argv=None) -> None:
             if args.out is not None:
                 (args.out / f"{name}.txt").write_text(t.text)
         if args.out is not None and ctx.session is not None:
-            sc = ctx.session.sparkContext
-            write_cell_costs(args.out / "cell_costs.json", sc, ctx._ran, ctx.scale, ctx.repeats)
+            write_cell_costs(args.out / "cell_costs.json", ctx.session.sparkContext, ctx._ran)
     finally:
         if ctx.session is not None:
             ctx.session.stop()

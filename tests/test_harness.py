@@ -1,18 +1,24 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
 import json
+import os
+import pkgutil
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+import repro.codecs
 from repro.codecs.base import TABLE4_METHODS, load_codec
 from repro.core import harness
 from repro.core.harness import (
     RESULT_SCHEMA,
     cached,
     cell_cost,
+    cell_key,
     failures,
     measured_costs,
     per_dataset_metrics,
@@ -22,9 +28,10 @@ from repro.core.harness import (
     run_cell,
     write_cell_costs,
 )
-from repro.core.tables import table4
+from repro.core.tables import FLAT_BLOCK_BYTES, table4
 from repro.data.corpus import corpus, generate, get_spec
 from repro.oracle import assert_equivalent
+from repro.run import CELLS
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
 TINY = dict(scale=0.05, datasets=["citytemp", "gas-price", "astro-mhd"])
@@ -177,12 +184,12 @@ class TestCostFile:
         cost_file.write_text(json.dumps({"tpcH-order MPC": 1.0, "tpcH-order GFC": 1.0}))
         costs = measured_costs(spark.sparkContext)
         saved, costs.value = costs.value, {
-            (whole, 0.5, 2): 2.345678e-8 * 2 * get_spec("tpcH-order").nbytes(0.5),
-            (block, 0.5, 2): 3e-8 * 2 * get_spec("citytemp").nbytes(0.5),
-            (block, 0.25, 2): 1.0,  # another scale: not this run's
+            whole: 2.345678e-8,
+            block: 3e-8,
+            ("citytemp", "GFC", None): 1.0,  # measured, but not a cell of this run
         }
         try:
-            write_cell_costs(cost_file, spark.sparkContext, [whole, block], 0.5, 2)
+            write_cell_costs(cost_file, spark.sparkContext, [whole, block])
         finally:
             costs.value = saved
         assert list(json.loads(cost_file.read_text())) == [
@@ -195,8 +202,21 @@ class TestCostFile:
         }
         assert mean == pytest.approx((3e-8 + 1.0 + 2.35e-8) / 3)
 
+    def test_written_keys_read_back_as_the_same_cells(self, cost_file, spark):
+        # whole, block and 1-D cells: every cell the tables sweep
+        cells = [c for cells in CELLS.values() for c in cells]
+        assert {b for _, _, b in cells} >= {None, 4096, FLAT_BLOCK_BYTES}
+        costs = measured_costs(spark.sparkContext)
+        saved, costs.value = costs.value, dict.fromkeys(cells, 1e-8)
+        try:
+            write_cell_costs(cost_file, spark.sparkContext, cells)
+        finally:
+            costs.value = saved
+        assert set(json.loads(cost_file.read_text())) == set(map(cell_key, cells))
+        assert recorded_costs()[0] == dict.fromkeys(cells, 1e-8)
+
     def test_no_measured_cell_writes_no_file(self, cost_file, spark):
-        write_cell_costs(cost_file, spark.sparkContext, [("tpcH-order", "nope", None)], 0.5, 1)
+        write_cell_costs(cost_file, spark.sparkContext, [("tpcH-order", "nope", None)])
         assert not cost_file.exists()
 
     def test_is_read_once_per_process(self, cost_file):
@@ -204,6 +224,16 @@ class TestCostFile:
         first = recorded_costs()
         cost_file.write_text(json.dumps({"tpcH-order MPC": 5e-8}))
         assert recorded_costs() is first
+
+
+def _lpt(costs: dict, k: int) -> tuple:
+    """The LPT plan of ``costs``' cells in seconds, spelled out."""
+    bins, loads = [[] for _ in range(k)], [0.0] * k
+    for cell in sorted(costs, key=lambda c: (-costs[c], c[:2])):
+        b = loads.index(min(loads))
+        bins[b].append(cell)
+        loads[b] += costs[cell]
+    return tuple(map(tuple, bins))
 
 
 class TestPlan:
@@ -217,11 +247,13 @@ class TestPlan:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
     def test_lpt_makespan_bound(self, k):
         rng = random.Random(k)
-        measured = {c: rng.expovariate(10.0) for c in SWEEP_CELLS}
-        table = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
+        measured = {c: rng.expovariate(1e5) for c in SWEEP_CELLS}
         for costs, plan in (
-            (table, plan_bins(SWEEP_CELLS, k, 0.5)),
-            (measured, plan_bins(SWEEP_CELLS, k, 0.5, measured)),
+            ({c: cell_cost(c, 0.5) for c in SWEEP_CELLS}, plan_bins(SWEEP_CELLS, k, 0.5)),
+            (
+                {c: cell_cost(c, 0.5, measured) for c in SWEEP_CELLS},
+                plan_bins(SWEEP_CELLS, k, 0.5, measured),
+            ),
         ):
             makespan = max(sum(costs[c] for c in b) for b in plan)
             assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
@@ -239,14 +271,43 @@ class TestPlan:
         assert home == (cells[0],)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
-    def test_a_missing_measurement_gives_the_table_plan(self, k):
-        measured = {c: float(i) for i, c in enumerate(SWEEP_CELLS)}
-        del measured[SWEEP_CELLS[7]]
-        assert plan_bins(SWEEP_CELLS, k, 0.5, measured) == plan_bins(SWEEP_CELLS, k, 0.5)
+    def test_an_unmeasured_cell_is_priced_from_the_file(self, cost_file, k):
+        cells = [("citytemp", m, None) for m in TABLE4_METHODS]
+        unmeasured, mpc = cells[7], ("citytemp", "MPC", None)
+        nbytes = get_spec("citytemp").nbytes(0.5)
+        cost_file.write_text(json.dumps({cell_key(unmeasured): 1e-6, cell_key(mpc): 1.0}))
+        # measured costs beat the file's; the one cell without one takes the file's
+        measured = {c: (i + 1) * 1e-7 for i, c in enumerate(cells) if c != unmeasured}
+        assert cell_cost(unmeasured, 0.5, measured) == pytest.approx(1e-6 * nbytes)
+        assert cell_cost(mpc, 0.5, measured) == pytest.approx(measured[mpc] * nbytes)
+        seconds = {c: measured.get(c, 1e-6) * nbytes for c in cells}
+        assert plan_bins(cells, k, 0.5, measured) == _lpt(seconds, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_costs_measured_at_one_scale_price_another_by_bytes(self, k):
+        rng = random.Random(k)
+        seconds = {c: rng.expovariate(10.0) for c in SWEEP_CELLS}  # at scale 0.25
+        measured = {c: t / get_spec(c[0]).nbytes(0.25) for c, t in seconds.items()}
+        at_half = {c: measured[c] * get_spec(c[0]).nbytes(0.5) for c in SWEEP_CELLS}
+        for c in SWEEP_CELLS:
+            assert cell_cost(c, 0.5, measured) == pytest.approx(at_half[c])
+        assert plan_bins(SWEEP_CELLS, k, 0.5, measured) == _lpt(at_half, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_per_byte_costs_of_the_sweep_whole_cells_give_the_seconds_plan(self, k):
+        # perfbench's sweep-whole: 2 datasets, 14 methods, repeats 1, one scale
+        cells = [(d, m, None) for d in ("hdr-night", "tpcxBB-store") for m in TABLE4_METHODS]
+        for seed in range(200):
+            rng = random.Random(seed)
+            scale = rng.choice([0.25, 0.5, 1.0])
+            seconds = {c: rng.expovariate(100.0) for c in cells}
+            per_byte = {c: t / get_spec(c[0]).nbytes(scale) for c, t in seconds.items()}
+            assert plan_bins(cells, k, scale, per_byte) == _lpt(seconds, k)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_equal_measured_costs_deal_cells_in_dataset_method_order(self, k):
-        cells = list(SWEEP_CELLS)
+        # datasets of one size, so equal costs per byte are equal costs
+        cells = [c for c in SWEEP_CELLS if get_spec(c[0]).nbytes(0.5) == 1 << 17]
         expected = tuple(tuple(sorted(cells)[b::k]) for b in range(k))
         for seed in range(3):
             random.Random(seed).shuffle(cells)
@@ -277,7 +338,7 @@ class TestPlan:
     def test_whole_and_flat_cells_of_one_pair_each_placed_once(self, k):
         # the md and 1d cells of a (dataset, method) cost the same, so the
         # tie-break must not compare None with an int block size
-        cells = [(d, m, b) for d, m, _ in SWEEP_CELLS for b in (None, get_spec(d).nbytes(0.5))]
+        cells = [(d, m, b) for d, m, _ in SWEEP_CELLS for b in (None, FLAT_BLOCK_BYTES)]
         plan = plan_bins(cells, k, 0.5)
         placed = [c for b in plan for c in b]
         assert len(placed) == len(cells)
@@ -313,34 +374,85 @@ class TestPlan:
         many.unpersist()
 
 
+_FIRST_TIMER = """
+import json, sys, time
+import pandas as pd
+from repro.core import harness
+
+def codecs():
+    return sorted(m for m in sys.modules if m.startswith("repro.codecs."))
+
+at_import, at_timer, perf_counter = codecs(), [], time.perf_counter
+time.perf_counter = lambda: at_timer.append(codecs()) or perf_counter()
+
+class Sink:
+    def add(self, value):
+        pass
+
+plan = ((("citytemp", "BUFF", None),),)
+batches = iter([pd.DataFrame({"id": [0]})])
+list(harness._run_partition(batches, plan=plan, scale=0.05, repeats=1, costs=Sink()))
+print(json.dumps([at_import, at_timer[0]]))
+"""
+
+
+def test_a_fresh_worker_imports_every_codec_before_its_first_cell_timer():
+    # the imports of a fresh Python worker must not be charged to its first cell
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_TIMER], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    at_import, at_timer = json.loads(out)
+    every = {f"repro.codecs.{m.name}" for m in pkgutil.iter_modules(repro.codecs.__path__)}
+    # the driver imports the harness without the codec modules it never runs
+    assert at_import == ["repro.codecs.base"]
+    assert set(at_timer) == every
+
+
 class TestMeasuredCosts:
     CELLS = {(d, m, None) for d in TINY["datasets"] for m in FAST_METHODS}
 
-    def _sweep(self, spark) -> pd.DataFrame:
+    def _sweep(self, spark, scale: float = TINY["scale"]) -> pd.DataFrame:
         # a cached sweep with the same plan would answer the action unrun
         spark.catalog.clearCache()
-        rows = run_benchmark(spark, FAST_METHODS, **TINY).toPandas()
+        rows = run_benchmark(spark, FAST_METHODS, **{**TINY, "scale": scale}).toPandas()
         return rows.sort_values(["dataset", "method", "block_id"], ignore_index=True)
 
     def test_one_action_reports_one_positive_cost_per_cell(self, spark):
         costs = measured_costs(spark.sparkContext)
         costs.value = {}
-        self._sweep(spark)
-        assert set(costs.value) == {(c, TINY["scale"], 1) for c in self.CELLS}
-        assert all(t > 0 for t in costs.value.values())
+        rows = self._sweep(spark)
+        assert set(costs.value) == self.CELLS
+        # seconds per input byte, over at least the codec calls' own time
+        per_cell = rows.groupby(["dataset", "method"])[["orig_bytes", "comp_ns", "decomp_ns"]].sum()
+        for (dataset, method), r in per_cell.iterrows():
+            codec_s = (r.comp_ns + r.decomp_ns) / 1e9
+            assert codec_s <= costs.value[dataset, method, None] * r.orig_bytes < 10 * codec_s + 0.1
 
-    def test_second_sweep_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
+    def _sweep_twice(self, spark, monkeypatch, scale: float):
+        """A sweep at ``TINY``'s scale, then one at ``scale``, which must be
+        planned from the costs the first reported; the two sweeps' rows."""
         costs = measured_costs(spark.sparkContext)
         costs.value = {}
         first = self._sweep(spark)
-        reported = {cell: t for (cell, _, _), t in costs.value.items()}
+        reported = dict(costs.value)
         calls = []
+        # a copy: the accumulator's value is the dict the next sweep updates
         monkeypatch.setattr(
-            "repro.core.harness.plan_bins", lambda *args: calls.append(args) or plan_bins(*args)
+            "repro.core.harness.plan_bins",
+            lambda *args: calls.append((*args[:3], dict(args[3]))) or plan_bins(*args),
         )
-        second = self._sweep(spark)
-        ((cells, _, _, measured),) = calls
+        second = self._sweep(spark, scale)
+        ((cells, _, planned_at, measured),) = calls
         assert set(cells) == self.CELLS
+        assert planned_at == scale
         assert measured == reported
+        return first, second
+
+    def test_second_sweep_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
+        first, second = self._sweep_twice(spark, monkeypatch, TINY["scale"])
         columns = ["dataset", "method", "block_id", "comp_bytes", "ok"]
         pd.testing.assert_frame_equal(second[columns], first[columns])
+
+    def test_a_sweep_at_another_scale_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
+        self._sweep_twice(spark, monkeypatch, 2 * TINY["scale"])

@@ -1,11 +1,12 @@
 """The table entry point: registry, name checking, three cheap builders
 and the cell costs ``--out`` records."""
 import json
+import statistics
 
 import pytest
 from pyspark.sql import SparkSession
 
-from repro.core.harness import COST_FILE, recorded_costs
+from repro.core.harness import COST_FILE, cell_key, recorded_costs
 from repro.core.tables import DIM_METHODS, TABLE11_METHODS
 from repro.run import CELLS, TABLES, Context, main, table03, table09, table11
 
@@ -67,31 +68,39 @@ def test_session_binds_the_driver_to_loopback_without_a_web_ui(spark):
     assert conf.get("spark.driver.host") == "127.0.0.1"
 
 
-def _key(cell) -> str:
-    return " ".join(str(x) for x in cell if x is not None)
-
-
 def test_committed_costs_price_every_cell_the_tables_sweep():
     assert COST_FILE.is_file()
     per_byte, _ = recorded_costs()
-    cells = {c for cells_at in CELLS.values() for c in cells_at(0.5)}
-    assert cells <= set(per_byte)
+    cells = {c for cells in CELLS.values() for c in cells}
+    # one entry per cell, and none for a cell no table sweeps
+    assert set(per_byte) == cells
     assert all(per_byte[c] > 0 for c in cells)
+
+
+def test_committed_costs_have_no_cold_start_outlier():
+    per_byte, _ = recorded_costs()
+    by_method = {}
+    for (dataset, method, block), cost in per_byte.items():
+        if block is None:
+            by_method.setdefault(method, {})[dataset] = cost
+    for method, costs in by_method.items():
+        median = statistics.median(costs.values())
+        assert max(costs.values()) <= 5 * median, (method, max(costs, key=costs.get))
 
 
 def test_out_merges_the_measured_costs_into_the_cost_file(tmp_path, monkeypatch, spark):
     monkeypatch.setenv("REPRO_SCALE", "0.05")
     # main stops its session, which here is the tests' own
     monkeypatch.setattr(SparkSession, "stop", lambda self: None)
-    swept, kept = list(CELLS["table09"](0.05)), ("citytemp", "nv::LZ4", 4096)
+    swept, kept = CELLS["table09"], ("citytemp", "nv::LZ4", 4096)
     path = tmp_path / "cell_costs.json"
     # one cell the run does not sweep, and one it measures afresh
-    path.write_text(json.dumps({_key(kept): 1.0, _key(swept[0]): 1.0}))
+    path.write_text(json.dumps({cell_key(kept): 1.0, cell_key(swept[0]): 1.0}))
     main(["--out", str(tmp_path), "table09"])
     costs = json.loads(path.read_text())
-    assert list(costs) == sorted(map(_key, [*swept, kept]))
-    assert costs[_key(kept)] == 1.0
-    assert all(0 < costs[_key(c)] < 1.0 for c in swept)
+    assert list(costs) == sorted(map(cell_key, [*swept, kept]))
+    assert costs[cell_key(kept)] == 1.0
+    assert all(0 < costs[cell_key(c)] < 1.0 for c in swept)
 
 
 def test_a_table_without_a_sweep_leaves_the_cost_file_untouched(tmp_path, monkeypatch):

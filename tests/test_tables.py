@@ -8,11 +8,13 @@ import pandas as pd
 import pytest
 
 from repro import run
+from repro.codecs.base import load_codec
 from repro.core import harness
 from repro.core.harness import per_dataset_metrics, run_benchmark, run_cells
 from repro.core.metrics import harmonic_mean
 from repro.core.tables import (
     DIM_METHODS,
+    FLAT_BLOCK_BYTES,
     ranking_summary,
     table4,
     table4_cells,
@@ -21,7 +23,7 @@ from repro.core.tables import (
     table9_cells,
     table10,
 )
-from repro.data.corpus import corpus, get_spec
+from repro.data.corpus import blocks, corpus, generate, get_spec
 from repro.run import Context
 
 METHODS = ["ndzip-C", "MPC", "BUFF", "nv::btcomp", "shf+zstd", "GFC"]
@@ -93,6 +95,39 @@ T9_SCALE = 0.04
 @pytest.fixture(scope="module")
 def t9(spark):
     return run.table09(Context(scale=T9_SCALE, session=spark)).frames["table09"]
+
+
+class _Costs:
+    """Collects what the kernel reports to its cost accumulator."""
+
+    def __init__(self):
+        self.value = {}
+
+    def add(self, value: dict):
+        self.value.update(value)
+
+
+@pytest.mark.parametrize("scale", [T9_SCALE, 0.1])
+def test_table9_1d_cells_compress_each_whole_dataset_flattened(scale):
+    _, flat_cells = table9_cells()
+    costs = _Costs()
+    batches = iter([pd.DataFrame({"id": [0]})])
+    kernel = harness._run_partition(
+        batches, plan=(tuple(flat_cells),), scale=scale, repeats=1, costs=costs
+    )
+    rows = pd.concat(kernel).set_index(["dataset", "method"])
+    assert set(costs.value) == set(flat_cells)
+    for name in dict.fromkeys(d for d, _, _ in flat_cells):
+        arr = generate(get_spec(name), scale)
+        flat = arr.reshape(-1)
+        (block,) = blocks(arr, FLAT_BLOCK_BYTES)
+        assert np.array_equal(block, flat)
+        for method in DIM_METHODS:
+            codec = load_codec(method)
+            blob = codec.compress(flat)
+            assert codec.compress(block) == blob
+            row = rows.loc[name, method]
+            assert (row.block_id, row.orig_bytes, row.comp_bytes) == (0, flat.nbytes, len(blob))
 
 
 class TestTable9:
@@ -198,7 +233,7 @@ class TestOneSweepPerTable:
         cells, bins = calls[0]
         # the union of the tables' cells, each once
         assert len(cells) == len(set(cells))
-        assert set(cells) == {c for n in names for c in run.CELLS[n](T9_SCALE)}
+        assert set(cells) == {c for n in names for c in run.CELLS[n]}
         # every table reads the cached sweep: no bin runs twice
         assert ran.value == bins
 
@@ -207,11 +242,11 @@ class TestOneSweepPerTable:
         ctx = Context(scale=T9_SCALE, session=spark, builds=("table04",))
         t4 = run.table04(ctx).frames["metrics"]
         run.table09(ctx)
-        md_cells, flat_cells = table9_cells(T9_SCALE)
+        md_cells, flat_cells = table9_cells()
         md = ctx.metrics(md_cells)[0]
         # Table 9's md cells are Table 4's: the later call runs only the 1d ones
-        assert [cells for cells, _ in calls] == [table4_cells(T9_SCALE), flat_cells]
-        for got, cells in ((t4, table4_cells(T9_SCALE)), (md, md_cells)):
+        assert [cells for cells, _ in calls] == [table4_cells(), flat_cells]
+        for got, cells in ((t4, table4_cells()), (md, md_cells)):
             want = per_dataset_metrics(run_cells(spark, cells, scale=T9_SCALE)).toPandas()
             pd.testing.assert_frame_equal(_by_dataset_method(got), _by_dataset_method(want))
 
