@@ -115,11 +115,6 @@ def register(cls: type[Codec]) -> type[Codec]:
     return cls
 
 
-def all_methods() -> dict[str, MethodInfo]:
-    import_codecs()
-    return {name: cls.info for name, cls in _REGISTRY.items()}
-
-
 #: The 14 method columns of Tables 4/5 in paper order, which are exactly
 #: the registered codecs (DESIGN.md substitution #5).
 TABLE4_METHODS = [

@@ -6,15 +6,14 @@ flattened values into blocks of that size, compressed without dims.
 :func:`run_cells` packs any mix of cells onto one bin per core by longest
 processing time first (LPT), and ``mapInPandas`` runs one bin per task
 over ``spark.range``, so no shuffle moves the work. A cell's cost
-(:func:`cell_cost`) is its seconds per input byte and repeat times its
-dataset's bytes at the plan's scale: as this SparkContext's executors last
-measured it, reported back through an accumulator (:func:`measured_costs`),
-else as an earlier run recorded it (:data:`COST_FILE`). The kernel
-takes its bin's cells dataset by dataset: it generates each dataset once
-(seeded by name, so executors and driver agree), cuts it for each cell,
-and runs the method on each block (compress, decompress, verify bit-exact
-roundtrip, time both), one result row per (dataset, block size, block,
-method).
+(:func:`cell_cost`) is its seconds per input byte, as an earlier run's
+result rows recorded it (:data:`COST_FILE`, :func:`write_cell_costs`),
+times its dataset's bytes at the plan's scale, so a plan depends on its
+cells, cores and scale alone. The kernel takes its bin's cells dataset by
+dataset: it generates each dataset once (seeded by name, so executors and
+driver agree), cuts it for each cell, and runs the method on each block
+(compress, decompress, verify bit-exact roundtrip, time both), one result
+row per (dataset, block size, block, method).
 
 Spark SQL then aggregates one configuration's rows, in one task, into each
 (dataset, method)'s CR, CT, DT and wall times (:func:`per_dataset_metrics`,
@@ -29,16 +28,13 @@ from __future__ import annotations
 import heapq
 import json
 import statistics
-import time
 from functools import cache, partial
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
-from weakref import WeakKeyDictionary
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark import Accumulator, AccumulatorParam, SparkContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
@@ -49,7 +45,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, import_codecs, load_codec
+from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, load_codec
 from repro.core.metrics import best_of
 from repro.data.corpus import blocks, corpus, generate, get_spec
 
@@ -103,10 +99,10 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
 
 Cell = tuple[str, str, int | None]  # (dataset, method, block_bytes)
 
-#: Each cell's seconds per input byte and repeat, as the executors measured
-#: them in a run of ``python -m repro.run --out benchmarks/out``: the
-#: planner's prior for cells this SparkContext has not yet run. It only
-#: balances the bins; no result depends on it.
+#: Each cell's seconds per input byte and repeat, as the result rows of a
+#: run of ``python -m repro.run --out benchmarks/out`` recorded them: the
+#: planner's one source of costs. It only balances the bins; no result
+#: depends on it.
 COST_FILE = Path(__file__).resolve().parents[3] / "benchmarks" / "out" / "cell_costs.json"
 
 
@@ -115,12 +111,19 @@ def cell_key(cell: Cell) -> str:
     return " ".join(str(x) for x in cell if x is not None)
 
 
-def write_cell_costs(path: Path, sc: SparkContext, cells: Iterable[Cell]) -> None:
-    """Merge into ``path``, keys sorted, the seconds per input byte and per
-    repeat that ``sc``'s executors measured for each of ``cells``. With none
-    measured, ``path`` is not written."""
-    seen = measured_costs(sc).value
-    ran = {cell_key(c): float(f"{seen[c]:.3g}") for c in cells if c in seen}
+def write_cell_costs(path: Path, results: DataFrame) -> None:
+    """Merge into ``path``, keys sorted, the seconds per input byte and
+    repeat of each cell in ``results``: its blocks' best-of-repeats compress
+    and decompress times over their bytes, as one aggregate in one task.
+    Cells with no timing are skipped; with none timed, ``path`` is not
+    written."""
+    per_byte = (
+        results.coalesce(1)
+        .groupBy("dataset", "method", "block_bytes")
+        .agg(F.expr("(SUM(comp_ns) + SUM(decomp_ns)) / 1e9 / SUM(orig_bytes)").alias("cost"))
+        .where("cost IS NOT NULL")
+    )
+    ran = {cell_key(r[:3]): float(f"{r.cost:.3g}") for r in per_byte.collect()}
     if ran:
         merged = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(merged | ran, indent=1, sort_keys=True) + "\n")
@@ -138,18 +141,15 @@ def recorded_costs() -> tuple[dict[Cell, float], float]:
     return costs, statistics.fmean(costs.values()) if costs else 1.0
 
 
-def cell_cost(cell: Cell, scale: float, measured: Mapping[Cell, float] = {}) -> float:
+def cell_cost(cell: Cell, scale: float) -> float:
     """Estimated seconds to run ``cell`` once at ``scale``, with nothing
-    generated: its cost per byte times the dataset's bytes at ``scale``. The
-    cost per byte is ``measured``'s, else the one :data:`COST_FILE` records,
-    else the mean of those recorded."""
+    generated: the cost per byte :data:`COST_FILE` records for it (else the
+    mean of those recorded) times the dataset's bytes at ``scale``."""
     recorded, mean = recorded_costs()
-    return measured.get(cell, recorded.get(cell, mean)) * get_spec(cell[0]).nbytes(scale)
+    return recorded.get(cell, mean) * get_spec(cell[0]).nbytes(scale)
 
 
-def plan_bins(
-    cells: Sequence[Cell], k: int, scale: float, measured: Mapping[Cell, float] = {}
-) -> tuple[tuple[Cell, ...], ...]:
+def plan_bins(cells: Sequence[Cell], k: int, scale: float) -> tuple[tuple[Cell, ...], ...]:
     """Pack ``cells`` onto ``k`` bins, longest processing time first: each
     cell, costliest first by its :func:`cell_cost`, goes to the least-loaded
     bin. The makespan is within 4/3 of the optimum (Graham 1969) and at most
@@ -158,7 +158,7 @@ def plan_bins(
     bins: list[list[Cell]] = [[] for _ in range(k)]
     loads = [(0.0, b) for b in range(k)]
     costed = sorted(
-        ((cell_cost(c, scale, measured), c) for c in cells), key=lambda t: (-t[0], t[1][:2])
+        ((cell_cost(c, scale), c) for c in cells), key=lambda t: (-t[0], t[1][:2])
     )
     for cost, cell in costed:
         load, b = heapq.heappop(loads)
@@ -167,43 +167,16 @@ def plan_bins(
     return tuple(tuple(b) for b in bins)
 
 
-class _LatestWins(AccumulatorParam):
-    """Merges dicts, the latest value of a key replacing any earlier one."""
-
-    def zero(self, value: dict) -> dict:
-        return {}
-
-    def addInPlace(self, value1: dict, value2: dict) -> dict:
-        value1.update(value2)
-        return value1
-
-
-#: Each SparkContext's :func:`measured_costs` accumulator, dropped with it.
-_MEASURED: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def measured_costs(sc: SparkContext) -> Accumulator:
-    """The accumulator in which ``sc``'s executors report, keyed by cell,
-    the latest run's cost per byte: the wall time of the cell's blocks'
-    :func:`run_cell` calls over the dataset's bytes and the repeats."""
-    if sc not in _MEASURED:
-        _MEASURED[sc] = sc.accumulator({}, _LatestWins())
-    return _MEASURED[sc]
-
-
 def _run_partition(
     batches: Iterator[pd.DataFrame],
     *,
     plan: tuple[tuple[Cell, ...], ...],
     scale: float,
     repeats: int,
-    costs: Accumulator,
 ) -> Iterator[pd.DataFrame]:
     """Executor-side worker: run the cells of each bin id in the batch,
     dataset by dataset, generating each dataset once, cutting it for each
-    cell and holding only one dataset at a time. Each cell's cost per byte
-    and repeat goes to ``costs``."""
-    import_codecs()  # a fresh worker's imports are no cell's cost
+    cell and holding only one dataset at a time."""
     for pdf in batches:
         out = []
         for bin_id in pdf.id:
@@ -214,7 +187,6 @@ def _run_partition(
                 for _, method, block_bytes in work:
                     # dims only for the whole dataset: a block does not match the grid
                     dims = arr.shape if block_bytes is None and arr.ndim > 1 else None
-                    t0 = time.perf_counter()
                     for block_id, block in enumerate(blocks(arr, block_bytes)):
                         out.append(
                             {
@@ -226,8 +198,6 @@ def _run_partition(
                                 **run_cell(method, block, dims, repeats),
                             }
                         )
-                    per_byte = (time.perf_counter() - t0) / arr.nbytes / max(repeats, 1)
-                    costs.add({(name, method, block_bytes): per_byte})
                 del arr
         yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
 
@@ -236,13 +206,10 @@ def run_cells(
     spark: SparkSession, cells: Sequence[Cell], *, scale: float, repeats: int = 1
 ) -> DataFrame:
     """Run ``cells`` as one job, one :func:`plan_bins` bin per core (at most
-    one per cell) and one ``spark.range`` row, so one task, per bin. The
-    plan uses the costs that earlier jobs measured for these cells."""
-    sc = spark.sparkContext
-    k = max(min(sc.defaultParallelism, len(cells)), 1)
-    costs = measured_costs(sc)
-    plan = plan_bins(cells, k, scale, costs.value)
-    kernel = partial(_run_partition, plan=plan, scale=scale, repeats=repeats, costs=costs)
+    one per cell) and one ``spark.range`` row, so one task, per bin."""
+    k = max(min(spark.sparkContext.defaultParallelism, len(cells)), 1)
+    plan = plan_bins(cells, k, scale)
+    kernel = partial(_run_partition, plan=plan, scale=scale, repeats=repeats)
     return spark.range(0, k, 1, k).mapInPandas(kernel, schema=RESULT_SCHEMA)
 
 

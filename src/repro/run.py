@@ -5,8 +5,9 @@ frames it computed plus the exact text printed for it, which ``--out DIR``
 also writes to ``DIR/NAME.txt``; ``benchmarks/out/`` holds that output at
 ``REPRO_SCALE=0.5``. The context starts a SparkSession only when a builder
 asks for one, and its first sweep runs the cells (:data:`CELLS`) of every
-table it will build once, as one job. ``--out`` also merges the cells'
-measured costs into ``DIR/cell_costs.json`` (``harness.COST_FILE``).
+table it will build once, as one job. ``--out`` also merges each swept
+cell's seconds per input byte, from its result rows, into
+``DIR/cell_costs.json`` (``harness.COST_FILE``), from which later runs plan.
 
 Scale and repeats come from ``REPRO_SCALE`` (default 1.0) and
 ``REPRO_REPEATS`` (default 1).
@@ -233,8 +234,8 @@ def main(argv=None) -> None:
             print(t.text, end="", flush=True)
             if args.out is not None:
                 (args.out / f"{name}.txt").write_text(t.text)
-        if args.out is not None and ctx.session is not None:
-            write_cell_costs(args.out / "cell_costs.json", ctx.session.sparkContext, ctx._ran)
+        if args.out is not None and ctx._results is not None:
+            write_cell_costs(args.out / "cell_costs.json", ctx._results)
     finally:
         if ctx.session is not None:
             ctx.session.stop()

@@ -11,7 +11,9 @@ bench_summary = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_summary)
 
 
-def _record(out: Path, workload: str, seed: int, rel: float, cr: float, wall: float) -> None:
+def _record(
+    out: Path, workload: str, seed: int, rel: float, cr: float, wall: float, sha: str = ""
+) -> None:
     metrics = {
         "setup_s": {"value": 10.0, "unit": "s", "n": 1},
         "pass_wall_rel": {"value": rel, "unit": "ratio", "n": 20},
@@ -19,7 +21,7 @@ def _record(out: Path, workload: str, seed: int, rel: float, cr: float, wall: fl
         "driver_peak_rss_mb": {"value": 180.0, "unit": "MB", "n": 1},
     }
     record = {
-        "manifest": {"workload": workload, "seed": seed, "git_sha": out.name},
+        "manifest": {"workload": workload, "seed": seed, "git_sha": sha or out.name},
         "metrics": metrics,
         "raw": {"sweep_wall_s": {"value": wall, "unit": "s", "n": 20}},
     }
@@ -47,3 +49,14 @@ def test_summary_of_two_sides(tmp_path):
     # hmean_cr is higher-is-better and equal on every pair: no wins
     assert wl["pairs"]["hmean_cr"] == {"change_better": 0, "pairs": 4}
     assert wl["parent"]["git_sha"] == "parent"
+
+
+def test_a_side_with_records_of_another_commit_is_refused(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        _record(parent, "sweep-whole", seed, 0.8, 2.0, 0.4)
+        _record(change, "sweep-whole", seed, 0.8, 2.0, 0.4)
+    _record(change, "sweep-whole", 7, 0.9, 2.0, 0.5, sha="earlier")  # a leftover run
+    with pytest.raises(ValueError, match="sweep-whole-seed7-trace0.json"):
+        bench_summary.main([str(parent), str(change), "--out", str(tmp_path / "BENCH.json")])
+    assert not (tmp_path / "BENCH.json").exists()

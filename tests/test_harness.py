@@ -3,6 +3,7 @@ import json
 import os
 import pkgutil
 import random
+import statistics
 import subprocess
 import sys
 
@@ -20,7 +21,6 @@ from repro.core.harness import (
     cell_cost,
     cell_key,
     failures,
-    measured_costs,
     per_dataset_metrics,
     plan_bins,
     recorded_costs,
@@ -178,24 +178,34 @@ def cost_file(tmp_path, monkeypatch):
     recorded_costs.cache_clear()
 
 
+def _rows(spark, *rows):
+    """A result frame of ``rows``: (dataset, method, block_bytes, block_id,
+    orig_bytes, comp_ns, decomp_ns), with no timing for a failed block."""
+    return spark.createDataFrame(
+        [
+            (d, "-", m, b, i, n, None if c is None else 1, c, dc, c is not None, None)
+            for d, m, b, i, n, c, dc in rows
+        ],
+        RESULT_SCHEMA,
+    )
+
+
 class TestCostFile:
     def test_merges_measured_costs_per_byte_with_sorted_keys(self, cost_file, spark):
         whole, block = ("tpcH-order", "MPC", None), ("citytemp", "BUFF", 4096)
         cost_file.write_text(json.dumps({"tpcH-order MPC": 1.0, "tpcH-order GFC": 1.0}))
-        costs = measured_costs(spark.sparkContext)
-        saved, costs.value = costs.value, {
-            whole: 2.345678e-8,
-            block: 3e-8,
-            ("citytemp", "GFC", None): 1.0,  # measured, but not a cell of this run
-        }
-        try:
-            write_cell_costs(cost_file, spark.sparkContext, [whole, block])
-        finally:
-            costs.value = saved
+        results = _rows(
+            spark,
+            (*whole, 0, 10**6, 12_000_000, 11_456_780),  # 23.45678 ns per byte
+            (*block, 0, 4096, 100_000, 22_880),  # two blocks, 245.76 us over 8 KiB
+            (*block, 1, 4096, 100_000, 22_880),
+            ("citytemp", "GFC", None, 0, 4096, None, None),  # no timing: skipped
+        )
+        write_cell_costs(cost_file, results)
         assert list(json.loads(cost_file.read_text())) == [
             "citytemp BUFF 4096", "tpcH-order GFC", "tpcH-order MPC"
         ]
-        # the costs are rounded to three significant digits
+        # seconds per byte, rounded to three significant digits
         per_byte, mean = recorded_costs()
         assert per_byte == {
             block: 3e-8, ("tpcH-order", "GFC", None): 1.0, whole: 2.35e-8
@@ -206,18 +216,25 @@ class TestCostFile:
         # whole, block and 1-D cells: every cell the tables sweep
         cells = [c for cells in CELLS.values() for c in cells]
         assert {b for _, _, b in cells} >= {None, 4096, FLAT_BLOCK_BYTES}
-        costs = measured_costs(spark.sparkContext)
-        saved, costs.value = costs.value, dict.fromkeys(cells, 1e-8)
-        try:
-            write_cell_costs(cost_file, spark.sparkContext, cells)
-        finally:
-            costs.value = saved
+        write_cell_costs(cost_file, _rows(spark, *((*c, 0, 10**5, 600_000, 400_000) for c in cells)))
         assert set(json.loads(cost_file.read_text())) == set(map(cell_key, cells))
         assert recorded_costs()[0] == dict.fromkeys(cells, 1e-8)
 
     def test_no_measured_cell_writes_no_file(self, cost_file, spark):
-        write_cell_costs(cost_file, spark.sparkContext, [("tpcH-order", "nope", None)])
+        write_cell_costs(cost_file, _rows(spark, ("tpcH-order", "BUFF", None, 0, 8, None, None)))
         assert not cost_file.exists()
+
+    def test_a_sweeps_rows_give_each_cell_its_codec_seconds_per_byte(self, cost_file, results):
+        write_cell_costs(cost_file, results)
+        rows = results.toPandas().groupby(["dataset", "method"])
+        sums = rows[["orig_bytes", "comp_ns", "decomp_ns"]].sum()
+        want = {
+            f"{d} {m}": float(f"{(r.comp_ns + r.decomp_ns) / 1e9 / r.orig_bytes:.3g}")
+            for (d, m), r in sums.iterrows()
+        }
+        assert len(want) == len(TINY["datasets"]) * len(FAST_METHODS)
+        assert json.loads(cost_file.read_text()) == want
+        assert all(cost > 0 for cost in want.values())
 
     def test_is_read_once_per_process(self, cost_file):
         cost_file.write_text(json.dumps({"tpcH-order MPC": 1e-8}))
@@ -236,6 +253,12 @@ def _lpt(costs: dict, k: int) -> tuple:
     return tuple(map(tuple, bins))
 
 
+def _record(path, per_byte: dict) -> None:
+    """Write ``per_byte``, keyed by cell, as the cost file at ``path``, read afresh."""
+    path.write_text(json.dumps({cell_key(c): cost for c, cost in per_byte.items()}))
+    recorded_costs.cache_clear()
+
+
 class TestPlan:
     @pytest.mark.parametrize("k", [1, 3, 4, 7])
     def test_every_cell_placed_once(self, k):
@@ -245,73 +268,87 @@ class TestPlan:
         assert sorted(placed) == sorted(SWEEP_CELLS)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
-    def test_lpt_makespan_bound(self, k):
+    def test_lpt_makespan_bound(self, cost_file, k):
         rng = random.Random(k)
-        measured = {c: rng.expovariate(1e5) for c in SWEEP_CELLS}
-        for costs, plan in (
-            ({c: cell_cost(c, 0.5) for c in SWEEP_CELLS}, plan_bins(SWEEP_CELLS, k, 0.5)),
-            (
-                {c: cell_cost(c, 0.5, measured) for c in SWEEP_CELLS},
-                plan_bins(SWEEP_CELLS, k, 0.5, measured),
-            ),
-        ):
-            makespan = max(sum(costs[c] for c in b) for b in plan)
+        # random recorded costs, then no file: cells priced by their bytes
+        for recorded in ({c: rng.expovariate(1e5) for c in SWEEP_CELLS}, None):
+            if recorded is None:
+                cost_file.unlink()
+                recorded_costs.cache_clear()
+            else:
+                _record(cost_file, recorded)
+            costs = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
+            makespan = max(sum(costs[c] for c in b) for b in plan_bins(SWEEP_CELLS, k, 0.5))
             assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_measured_costs_reversing_the_table_isolate_the_costliest(self, k):
-        cells = sorted((("tpcxBB-store", m, None) for m in TABLE4_METHODS),
-                       key=lambda c: cell_cost(c, 1.0))
-        # the table's cheapest cell measures costliest, and outweighs the rest
-        measured = {c: float(len(cells) - i) for i, c in enumerate(cells)}
-        measured[cells[0]] = sum(measured.values())
+    def test_measured_costs_reversing_the_table_isolate_the_costliest(self, cost_file, k):
+        cells = [("tpcxBB-store", m, None) for m in TABLE4_METHODS]
+        _record(cost_file, {c: float(i + 1) for i, c in enumerate(cells)})
         (home,) = [b for b in plan_bins(cells, k, 1.0) if cells[0] in b]
         assert len(home) > 1
-        (home,) = [b for b in plan_bins(cells, k, 1.0, measured) if cells[0] in b]
+        # a later recording of the cheapest cell as the costliest outweighs the rest
+        reversed_costs = {c: float(len(cells) - i) for i, c in enumerate(cells)}
+        reversed_costs[cells[0]] = sum(reversed_costs.values())
+        _record(cost_file, reversed_costs)
+        (home,) = [b for b in plan_bins(cells, k, 1.0) if cells[0] in b]
         assert home == (cells[0],)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_an_unmeasured_cell_is_priced_from_the_file(self, cost_file, k):
         cells = [("citytemp", m, None) for m in TABLE4_METHODS]
-        unmeasured, mpc = cells[7], ("citytemp", "MPC", None)
+        unmeasured = cells[7]
         nbytes = get_spec("citytemp").nbytes(0.5)
-        cost_file.write_text(json.dumps({cell_key(unmeasured): 1e-6, cell_key(mpc): 1.0}))
-        # measured costs beat the file's; the one cell without one takes the file's
-        measured = {c: (i + 1) * 1e-7 for i, c in enumerate(cells) if c != unmeasured}
-        assert cell_cost(unmeasured, 0.5, measured) == pytest.approx(1e-6 * nbytes)
-        assert cell_cost(mpc, 0.5, measured) == pytest.approx(measured[mpc] * nbytes)
-        seconds = {c: measured.get(c, 1e-6) * nbytes for c in cells}
-        assert plan_bins(cells, k, 0.5, measured) == _lpt(seconds, k)
+        recorded = {c: (i + 1) * 1e-7 for i, c in enumerate(cells) if c != unmeasured}
+        _record(cost_file, recorded)
+        # the one cell the file lacks takes the mean of those it records
+        mean = statistics.fmean(recorded.values())
+        assert cell_cost(unmeasured, 0.5) == pytest.approx(mean * nbytes)
+        seconds = {c: recorded.get(c, mean) * nbytes for c in cells}
+        assert plan_bins(cells, k, 0.5) == _lpt(seconds, k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_costs_measured_at_one_scale_price_another_by_bytes(self, k):
+    def test_costs_measured_at_one_scale_price_another_by_bytes(self, cost_file, k):
         rng = random.Random(k)
         seconds = {c: rng.expovariate(10.0) for c in SWEEP_CELLS}  # at scale 0.25
-        measured = {c: t / get_spec(c[0]).nbytes(0.25) for c, t in seconds.items()}
-        at_half = {c: measured[c] * get_spec(c[0]).nbytes(0.5) for c in SWEEP_CELLS}
+        per_byte = {c: t / get_spec(c[0]).nbytes(0.25) for c, t in seconds.items()}
+        _record(cost_file, per_byte)
+        at_half = {c: per_byte[c] * get_spec(c[0]).nbytes(0.5) for c in SWEEP_CELLS}
         for c in SWEEP_CELLS:
-            assert cell_cost(c, 0.5, measured) == pytest.approx(at_half[c])
-        assert plan_bins(SWEEP_CELLS, k, 0.5, measured) == _lpt(at_half, k)
+            assert cell_cost(c, 0.5) == pytest.approx(at_half[c])
+        assert plan_bins(SWEEP_CELLS, k, 0.5) == _lpt(at_half, k)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_per_byte_costs_of_the_sweep_whole_cells_give_the_seconds_plan(self, k):
+    def test_per_byte_costs_of_the_sweep_whole_cells_give_the_seconds_plan(self, cost_file, k):
         # perfbench's sweep-whole: 2 datasets, 14 methods, repeats 1, one scale
         cells = [(d, m, None) for d in ("hdr-night", "tpcxBB-store") for m in TABLE4_METHODS]
         for seed in range(200):
             rng = random.Random(seed)
             scale = rng.choice([0.25, 0.5, 1.0])
             seconds = {c: rng.expovariate(100.0) for c in cells}
-            per_byte = {c: t / get_spec(c[0]).nbytes(scale) for c, t in seconds.items()}
-            assert plan_bins(cells, k, scale, per_byte) == _lpt(seconds, k)
+            _record(cost_file, {c: t / get_spec(c[0]).nbytes(scale) for c, t in seconds.items()})
+            assert plan_bins(cells, k, scale) == _lpt(seconds, k)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
-    def test_equal_measured_costs_deal_cells_in_dataset_method_order(self, k):
+    def test_equal_measured_costs_deal_cells_in_dataset_method_order(self, cost_file, k):
         # datasets of one size, so equal costs per byte are equal costs
         cells = [c for c in SWEEP_CELLS if get_spec(c[0]).nbytes(0.5) == 1 << 17]
+        _record(cost_file, dict.fromkeys(cells, 0.25))
         expected = tuple(tuple(sorted(cells)[b::k]) for b in range(k))
         for seed in range(3):
             random.Random(seed).shuffle(cells)
-            assert plan_bins(cells, k, 0.5, dict.fromkeys(cells, 0.25)) == expected
+            assert plan_bins(cells, k, 0.5) == expected
+
+    def test_two_sweeps_of_one_session_get_the_same_plan(self, spark, monkeypatch):
+        plans = []
+        monkeypatch.setattr(
+            harness, "plan_bins", lambda *args: plans.append(plan_bins(*args)) or plans[-1]
+        )
+        # the first sweep runs before the second is planned
+        run_benchmark(spark, FAST_METHODS, **TINY).count()
+        run_benchmark(spark, FAST_METHODS, **TINY)
+        assert len(plans) == 2
+        assert plans[0] == plans[1]
 
     def test_every_table4_method_has_a_cost(self):
         per_byte, _ = recorded_costs()
@@ -382,16 +419,13 @@ from repro.core import harness
 def codecs():
     return sorted(m for m in sys.modules if m.startswith("repro.codecs."))
 
-at_import, at_timer, perf_counter = codecs(), [], time.perf_counter
-time.perf_counter = lambda: at_timer.append(codecs()) or perf_counter()
-
-class Sink:
-    def add(self, value):
-        pass
+# best_of's timer
+at_import, at_timer, perf_counter_ns = codecs(), [], time.perf_counter_ns
+time.perf_counter_ns = lambda: at_timer.append(codecs()) or perf_counter_ns()
 
 plan = ((("citytemp", "BUFF", None),),)
 batches = iter([pd.DataFrame({"id": [0]})])
-list(harness._run_partition(batches, plan=plan, scale=0.05, repeats=1, costs=Sink()))
+list(harness._run_partition(batches, plan=plan, scale=0.05, repeats=1))
 print(json.dumps([at_import, at_timer[0]]))
 """
 
@@ -407,52 +441,3 @@ def test_a_fresh_worker_imports_every_codec_before_its_first_cell_timer():
     # the driver imports the harness without the codec modules it never runs
     assert at_import == ["repro.codecs.base"]
     assert set(at_timer) == every
-
-
-class TestMeasuredCosts:
-    CELLS = {(d, m, None) for d in TINY["datasets"] for m in FAST_METHODS}
-
-    def _sweep(self, spark, scale: float = TINY["scale"]) -> pd.DataFrame:
-        # a cached sweep with the same plan would answer the action unrun
-        spark.catalog.clearCache()
-        rows = run_benchmark(spark, FAST_METHODS, **{**TINY, "scale": scale}).toPandas()
-        return rows.sort_values(["dataset", "method", "block_id"], ignore_index=True)
-
-    def test_one_action_reports_one_positive_cost_per_cell(self, spark):
-        costs = measured_costs(spark.sparkContext)
-        costs.value = {}
-        rows = self._sweep(spark)
-        assert set(costs.value) == self.CELLS
-        # seconds per input byte, over at least the codec calls' own time
-        per_cell = rows.groupby(["dataset", "method"])[["orig_bytes", "comp_ns", "decomp_ns"]].sum()
-        for (dataset, method), r in per_cell.iterrows():
-            codec_s = (r.comp_ns + r.decomp_ns) / 1e9
-            assert codec_s <= costs.value[dataset, method, None] * r.orig_bytes < 10 * codec_s + 0.1
-
-    def _sweep_twice(self, spark, monkeypatch, scale: float):
-        """A sweep at ``TINY``'s scale, then one at ``scale``, which must be
-        planned from the costs the first reported; the two sweeps' rows."""
-        costs = measured_costs(spark.sparkContext)
-        costs.value = {}
-        first = self._sweep(spark)
-        reported = dict(costs.value)
-        calls = []
-        # a copy: the accumulator's value is the dict the next sweep updates
-        monkeypatch.setattr(
-            "repro.core.harness.plan_bins",
-            lambda *args: calls.append((*args[:3], dict(args[3]))) or plan_bins(*args),
-        )
-        second = self._sweep(spark, scale)
-        ((cells, _, planned_at, measured),) = calls
-        assert set(cells) == self.CELLS
-        assert planned_at == scale
-        assert measured == reported
-        return first, second
-
-    def test_second_sweep_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
-        first, second = self._sweep_twice(spark, monkeypatch, TINY["scale"])
-        columns = ["dataset", "method", "block_id", "comp_bytes", "ok"]
-        pd.testing.assert_frame_equal(second[columns], first[columns])
-
-    def test_a_sweep_at_another_scale_plans_from_the_first_sweeps_costs(self, spark, monkeypatch):
-        self._sweep_twice(spark, monkeypatch, 2 * TINY["scale"])

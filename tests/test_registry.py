@@ -11,7 +11,8 @@ from repro.codecs.base import (
     GPU_METHODS,
     TABLE4_METHODS,
     TABLE10_METHODS,
-    all_methods,
+    _REGISTRY,
+    import_codecs,
     load_codec,
 )
 
@@ -37,12 +38,13 @@ TABLE1 = {
 def test_all_fifteen_methods_registered():
     """Table 1 lists fifteen methods; the one no table measures is not built
     (DESIGN.md substitution #5), so the registry is Table 4's columns."""
-    assert set(all_methods()) == set(TABLE4_METHODS) == set(TABLE1)
+    import_codecs()
+    assert set(_REGISTRY) == set(TABLE4_METHODS) == set(TABLE1)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE1))
 def test_metadata_matches_table1(name):
-    info = all_methods()[name]
+    info = load_codec(name).info
     year, domain, precision, arch, parallel = TABLE1[name]
     assert info.year == year
     assert info.domain == domain
@@ -61,7 +63,7 @@ def test_table10_methods_subset():
 
 
 def test_gpu_methods_partition():
-    assert GPU_METHODS == {m for m in TABLE4_METHODS if all_methods()[m].arch == "GPU"}
+    assert GPU_METHODS == {m for m in TABLE4_METHODS if load_codec(m).info.arch == "GPU"}
 
 
 def test_load_codec_returns_fresh_instances():

@@ -97,26 +97,14 @@ def t9(spark):
     return run.table09(Context(scale=T9_SCALE, session=spark)).frames["table09"]
 
 
-class _Costs:
-    """Collects what the kernel reports to its cost accumulator."""
-
-    def __init__(self):
-        self.value = {}
-
-    def add(self, value: dict):
-        self.value.update(value)
-
-
 @pytest.mark.parametrize("scale", [T9_SCALE, 0.1])
 def test_table9_1d_cells_compress_each_whole_dataset_flattened(scale):
     _, flat_cells = table9_cells()
-    costs = _Costs()
     batches = iter([pd.DataFrame({"id": [0]})])
-    kernel = harness._run_partition(
-        batches, plan=(tuple(flat_cells),), scale=scale, repeats=1, costs=costs
-    )
+    kernel = harness._run_partition(batches, plan=(tuple(flat_cells),), scale=scale, repeats=1)
     rows = pd.concat(kernel).set_index(["dataset", "method"])
-    assert set(costs.value) == set(flat_cells)
+    assert set(rows.index) == {(d, m) for d, m, _ in flat_cells}
+    assert (rows.block_bytes == FLAT_BLOCK_BYTES).all()
     for name in dict.fromkeys(d for d, _, _ in flat_cells):
         arr = generate(get_spec(name), scale)
         flat = arr.reshape(-1)

@@ -11,7 +11,9 @@ declares and of the raw ``sweep_wall_s``. Runs of one seed on both sides
 form a pair; for each metric the output counts the pairs in which the
 change was better, by the metric's direction in ``BENCHMARK.json``. Each
 side also records its git SHA and the digest of its ``src/`` tree, as
-the run manifests give them (a checkout without ``.git`` has no SHA).
+the run manifests give them (a checkout without ``.git`` has no SHA). A
+directory whose records disagree on those two, such as one still holding
+an earlier commit's runs, is refused with the odd records named.
 """
 from __future__ import annotations
 
@@ -24,12 +26,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_runs(out_dir: Path) -> dict[str, dict[int, dict]]:
-    """{workload: {seed: record}} of the untraced run records in ``out_dir``."""
+    """{workload: {seed: record}} of the untraced run records in ``out_dir``.
+    Raises ``ValueError`` naming the records of all but the commonest
+    (git SHA, src digest) pair if the records hold more than one."""
     runs: dict[str, dict[int, dict]] = {}
+    sources: dict[tuple, list[str]] = {}
     for path in sorted(out_dir.glob("*-trace0.json")):
         record = json.loads(path.read_text())
         info = record["manifest"]
         runs.setdefault(info["workload"], {})[info["seed"]] = record
+        sources.setdefault((info.get("git_sha"), info.get("src_sha256")), []).append(path.name)
+    if len(sources) > 1:
+        *odd, _ = sorted(sources.values(), key=len)
+        names = ", ".join(name for group in odd for name in group)
+        raise ValueError(f"{out_dir}: records of more than one git_sha/src_sha256; odd: {names}")
     return runs
 
 
