@@ -270,13 +270,10 @@ class TestPlan:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
     def test_lpt_makespan_bound(self, cost_file, k):
         rng = random.Random(k)
-        # random recorded costs, then no file: cells priced by their bytes
-        for recorded in ({c: rng.expovariate(1e5) for c in SWEEP_CELLS}, None):
-            if recorded is None:
-                cost_file.unlink()
-                recorded_costs.cache_clear()
-            else:
-                _record(cost_file, recorded)
+        random_costs = {c: rng.expovariate(1e5) for c in SWEEP_CELLS}
+        # random costs per byte, then equal ones: cells priced by their bytes
+        for per_byte in (random_costs, dict.fromkeys(SWEEP_CELLS, 1.0)):
+            _record(cost_file, per_byte)
             costs = {c: cell_cost(c, 0.5) for c in SWEEP_CELLS}
             makespan = max(sum(costs[c] for c in b) for b in plan_bins(SWEEP_CELLS, k, 0.5))
             assert makespan <= sum(costs.values()) / k + max(costs.values()) + 1e-9
