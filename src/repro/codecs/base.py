@@ -1,4 +1,4 @@
-"""Codec interface, common container envelope, and the method registry.
+"""Codec interface, common container envelope, and the method table.
 
 Every compressor produces a self-describing blob::
 
@@ -12,8 +12,9 @@ which is exactly the paper's Table 9 "1d" configuration.
 """
 from __future__ import annotations
 
+import importlib
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,18 +49,6 @@ class CodecFailure(Exception):
     """A codec declined or failed on this input (the paper's "-" entries)."""
 
 
-@dataclass
-class MethodInfo:
-    """Table-1 metadata describing a studied method."""
-
-    name: str
-    year: int
-    domain: str  # HPC | Database | general
-    precision: str  # "S,D" | "D"
-    arch: str  # CPU | GPU
-    parallel: str  # serial | threads | SIMD + threads | SIMT
-
-
 class Codec:
     """Base codec: envelope handling + the compress/decompress contract.
 
@@ -69,8 +58,6 @@ class Codec:
     returns empty input itself, so ``_decode`` always sees ``count > 0``;
     the words it returns may be wider than ``wdt`` and are cast back.
     """
-
-    info: MethodInfo
 
     def compress(self, arr: np.ndarray, dims: tuple[int, ...] | None = None) -> bytes:
         a = np.ascontiguousarray(arr)
@@ -106,33 +93,40 @@ class Codec:
         raise NotImplementedError
 
 
-_REGISTRY: dict[str, type[Codec]] = {}
+class MethodInfo(NamedTuple):
+    """A studied method: the class that implements it, as ``"module:Class"``
+    under ``repro.codecs``, and its Table-1 row."""
+
+    impl: str
+    year: int
+    domain: str  # HPC | Database | general
+    precision: str  # "S,D" | "D"
+    arch: str  # CPU | GPU
+    parallel: str  # serial | threads | SIMD + threads | SIMT
 
 
-def register(cls: type[Codec]) -> type[Codec]:
-    """Class decorator adding a codec to the global registry by its name."""
-    _REGISTRY[cls.info.name] = cls
-    return cls
+#: The 14 method columns of Tables 4/5 in paper order, each with its class
+#: and Table-1 row. Table 1's fifteenth method is not built (DESIGN.md
+#: substitution #5); ndzip's CPU and GPU rows share one class.
+METHODS = {
+    "pFPC": MethodInfo("pfpc:PFPC", 2009, "HPC", "D", "CPU", "threads"),
+    "SPDP": MethodInfo("spdp:SPDP", 2018, "HPC", "S,D", "CPU", "serial"),
+    "fpzip": MethodInfo("fpzip_like:FpzipLike", 2006, "HPC", "S,D", "CPU", "serial"),
+    "shf+LZ4": MethodInfo("bitshuffle:BitshuffleLZ4", 2015, "HPC", "S,D", "CPU", "SIMD + threads"),
+    "shf+zstd": MethodInfo("bitshuffle:BitshuffleZstd", 2015, "HPC", "S,D", "CPU", "SIMD + threads"),
+    "ndzip-C": MethodInfo("ndzip:Ndzip", 2021, "HPC", "S,D", "CPU", "SIMD + threads"),
+    "BUFF": MethodInfo("buff:BUFF", 2021, "Database", "S,D", "CPU", "serial"),
+    "Gorilla": MethodInfo("gorilla:Gorilla", 2015, "Database", "D", "CPU", "serial"),
+    "Chimp": MethodInfo("chimp:Chimp", 2022, "Database", "S,D", "CPU", "serial"),
+    "GFC": MethodInfo("gfc:GFC", 2011, "HPC", "D", "GPU", "SIMT"),
+    "MPC": MethodInfo("mpc:MPC", 2015, "HPC", "S,D", "GPU", "SIMT"),
+    "nv::LZ4": MethodInfo("nvcomp_like:NvLZ4", 2020, "general", "S,D", "GPU", "SIMT"),
+    "nv::btcomp": MethodInfo("nvcomp_like:NvBitcomp", 2020, "general", "S,D", "GPU", "SIMT"),
+    "ndzip-G": MethodInfo("ndzip:Ndzip", 2021, "HPC", "S,D", "GPU", "SIMT"),
+}
 
-
-#: The 14 method columns of Tables 4/5 in paper order, which are exactly
-#: the registered codecs (DESIGN.md substitution #5).
-TABLE4_METHODS = [
-    "pFPC",
-    "SPDP",
-    "fpzip",
-    "shf+LZ4",
-    "shf+zstd",
-    "ndzip-C",
-    "BUFF",
-    "Gorilla",
-    "Chimp",
-    "GFC",
-    "MPC",
-    "nv::LZ4",
-    "nv::btcomp",
-    "ndzip-G",
-]
+#: Table 4's column names, in paper order.
+TABLE4_METHODS = list(METHODS)
 
 #: Methods usable in the block-size sweep of Table 10 (the paper omits the
 #: ones that "cannot be easily converted to work with blocks").
@@ -148,34 +142,14 @@ TABLE10_METHODS = [
 ]
 
 #: GPU-class methods whose end-to-end time includes host<->device transfer.
-GPU_METHODS = {"GFC", "MPC", "nv::LZ4", "nv::btcomp", "ndzip-G"}
-
-
-def import_codecs() -> None:
-    """Import codec modules so their ``@register`` decorators run."""
-    from repro.codecs import (  # noqa: F401
-        bitshuffle,
-        buff,
-        chimp,
-        fpzip_like,
-        gfc,
-        gorilla,
-        mpc,
-        ndzip,
-        nvcomp_like,
-        pfpc,
-        spdp,
-    )
+GPU_METHODS = {m for m, info in METHODS.items() if info.arch == "GPU"}
 
 
 def load_codec(name: str) -> Codec:
-    """Instantiate a registered codec by Table-4 column name.
-
-    Imports every codec module first, so it also works in fresh Spark
-    executor workers.
-    """
-    import_codecs()
+    """A new instance of the codec in Table-4 column ``name``. Imports only
+    that codec's module, so it also works in fresh Spark executor workers."""
     try:
-        return _REGISTRY[name]()
+        module, cls = METHODS[name].impl.split(":")
     except KeyError:
-        raise KeyError(f"unknown codec {name!r}; known: {sorted(_REGISTRY)}") from None
+        raise KeyError(f"unknown codec {name!r}; known: {sorted(METHODS)}") from None
+    return getattr(importlib.import_module(f"repro.codecs.{module}"), cls)()

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
 from repro.core.bitio import bit_transpose
 
@@ -65,21 +65,11 @@ def _inflate(comp: bytes) -> bytes:
         raise ValueError(f"corrupt zstd block: {e}") from None
 
 
-@register
 class BitshuffleLZ4(_BitshuffleBase):
-    info = MethodInfo(
-        name="shf+LZ4", year=2015, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads",
-    )
     _backend_compress = staticmethod(lz_compress)
     _backend_decompress = staticmethod(lz_decompress)
 
 
-@register
 class BitshuffleZstd(_BitshuffleBase):
-    info = MethodInfo(
-        name="shf+zstd", year=2015, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads",
-    )
     _backend_compress = staticmethod(partial(zlib.compress, level=9))
     _backend_decompress = staticmethod(_inflate)

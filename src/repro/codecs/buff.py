@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
+from repro.codecs.base import Codec, CodecFailure
 from repro.core.bitio import bit_length_u64
 from repro.core.floatmap import from_words, to_words
 
@@ -43,13 +43,7 @@ def _detect_precision(x: np.ndarray) -> int | None:
     return None
 
 
-@register
 class BUFF(Codec):
-    info = MethodInfo(
-        name="BUFF", year=2021, domain="Database", precision="S,D", arch="CPU",
-        parallel="serial",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         dtype = np.float32 if words.dtype.itemsize == 4 else np.float64
         x = from_words(words, dtype)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.core.bitio import (
     be_words,
     bit_length_u64,
@@ -52,13 +52,7 @@ def _round_lead(lz: np.ndarray) -> np.ndarray:
     return np.searchsorted(_LEAD_ROUND, lz, side="right") - 1
 
 
-@register
 class Chimp(Codec):
-    info = MethodInfo(
-        name="Chimp", year=2022, domain="Database", precision="S,D", arch="CPU",
-        parallel="serial",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         w = np.ascontiguousarray(words).astype(np.uint64)
         width = words.dtype.itemsize * 8

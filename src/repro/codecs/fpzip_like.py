@@ -28,19 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.codecs.huffman import Huffman
 from repro.core.bitio import bit_length_u64, pack_bits, unpack_bits
 from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
 
-@register
 class FpzipLike(Codec):
-    info = MethodInfo(
-        name="fpzip", year=2006, domain="HPC", precision="S,D", arch="CPU",
-        parallel="serial",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         width = words.dtype.itemsize * 8
         if words.size == 0:

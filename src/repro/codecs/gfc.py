@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, CodecFailure, MethodInfo, register
+from repro.codecs.base import Codec, CodecFailure
 from repro.core.bitio import bit_length_u64, pack_bits, unpack_bits
 from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
@@ -28,13 +28,7 @@ _SUB = 32  # values per subchunk == GPU warp width
 _LIMIT = 512 * 1024 * 1024  # original GFC cannot exceed 512 MB input
 
 
-@register
 class GFC(Codec):
-    info = MethodInfo(
-        name="GFC", year=2011, domain="HPC", precision="D", arch="GPU",
-        parallel="SIMT",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         if words.size * words.dtype.itemsize > _LIMIT:
             raise CodecFailure("GFC input limit is 512 MB")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.core.bitio import (
     be_words,
     bit_length_u64,
@@ -50,13 +50,7 @@ _MAX_LZ = 31  # 5-bit leading-zero field
 _GALLOP_AFTER = 32
 
 
-@register
 class Gorilla(Codec):
-    info = MethodInfo(
-        name="Gorilla", year=2015, domain="Database", precision="D", arch="CPU",
-        parallel="serial",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         w = np.ascontiguousarray(words).astype(np.uint64)
         width = words.dtype.itemsize * 8

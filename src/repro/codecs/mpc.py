@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.core.bitio import bit_transpose, drop_zero_words, restore_zero_words
 from repro.core.floatmap import lag_diff, lag_sum
 
@@ -39,13 +39,7 @@ def _pad_to_chunks(w: np.ndarray) -> np.ndarray:
     return w.reshape(-1, _CHUNK)
 
 
-@register
 class MPC(Codec):
-    info = MethodInfo(
-        name="MPC", year=2015, domain="HPC", precision="S,D", arch="GPU",
-        parallel="SIMT",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         if words.size == 0:
             return b""

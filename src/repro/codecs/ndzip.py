@@ -18,8 +18,8 @@ Workflow reproduced from Knorr et al. 2021:
    (32/64 bits per chunk) marks the non-zero words, which follow it.
 
 CPU and GPU implementations share this exact pipeline in the paper (§4.4:
-"the algorithm remains the same"); here both registry entries call the
-same vectorized NumPy kernels and differ only in their Table-1 metadata.
+"the algorithm remains the same"), so both rows of `base.METHODS`, ndzip-C
+and ndzip-G, name this one class; only their Table-1 fields differ.
 `harness.per_dataset_metrics` adds modeled host↔device transfers to the
 end-to-end times of the methods in `base.GPU_METHODS`, which lists ndzip-G
 and not ndzip-C (DESIGN.md substitution #3).
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.core.bitio import bit_transpose, drop_zero_words, restore_zero_words
 from repro.core.floatmap import from_ordered, lag_diff, lag_sum, to_ordered, unzigzag, zigzag
 
@@ -65,7 +65,7 @@ def _layout(dims: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, np.ndar
     return side, tiled, np.delete(idx.reshape(-1), tiled)
 
 
-class _NdzipBase(Codec):
+class Ndzip(Codec):
     def _encode(self, words: np.ndarray, dims) -> bytes:
         if words.size == 0:
             return b""
@@ -98,19 +98,3 @@ class _NdzipBase(Codec):
         out[tiled] = lag_sum(res, 1, range(1, res.ndim)).reshape(-1)
         out[tail] = np.frombuffer(tail_buf, dtype=wdt, count=tail.size)
         return from_ordered(out)
-
-
-@register
-class NdzipCPU(_NdzipBase):
-    info = MethodInfo(
-        name="ndzip-C", year=2021, domain="HPC", precision="S,D", arch="CPU",
-        parallel="SIMD + threads",
-    )
-
-
-@register
-class NdzipGPU(_NdzipBase):
-    info = MethodInfo(
-        name="ndzip-G", year=2021, domain="HPC", precision="S,D", arch="GPU",
-        parallel="SIMT",
-    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.codecs.lz77 import frame_chunks, lz_compress, lz_decompress, unframe_chunks
 from repro.core.bitio import bit_length_u64
 from repro.core.floatmap import unzigzag, zigzag
@@ -30,13 +30,7 @@ _LZ_CHUNK = 64 * 1024
 _BC_BLOCK = 512  # packing-width granularity; small enough to elide zero runs
 
 
-@register
 class NvLZ4(Codec):
-    info = MethodInfo(
-        name="nv::LZ4", year=2020, domain="general", precision="S,D", arch="GPU",
-        parallel="SIMT",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         return frame_chunks(words.tobytes(), _LZ_CHUNK, lz_compress)
 
@@ -44,13 +38,7 @@ class NvLZ4(Codec):
         return np.frombuffer(unframe_chunks(payload, lz_decompress, _LZ_CHUNK), dtype=wdt, count=count)
 
 
-@register
 class NvBitcomp(Codec):
-    info = MethodInfo(
-        name="nv::btcomp", year=2020, domain="general", precision="S,D", arch="GPU",
-        parallel="SIMT",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         w = np.ascontiguousarray(words).astype(np.uint64)
         width = words.dtype.itemsize * 8

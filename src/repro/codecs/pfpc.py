@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.core.bitio import bit_length_u64, pack_bits, previous_same_key, unpack_bits
 from repro.core.floatmap import as_u64_stream, u64_stream_to_words
 
@@ -128,13 +128,7 @@ def _values_dict_tables(use_dfcm: list, resids: list) -> list:
     return out
 
 
-@register
 class PFPC(Codec):
-    info = MethodInfo(
-        name="pFPC", year=2009, domain="HPC", precision="D", arch="CPU",
-        parallel="threads",
-    )
-
     def __init__(self, n_threads: int = 8) -> None:
         self.n_threads = n_threads
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.base import Codec, MethodInfo, register
+from repro.codecs.base import Codec
 from repro.codecs.lz77 import lz_compress, lz_decompress
 from repro.core.floatmap import lag_diff, lag_sum
 
@@ -56,13 +56,7 @@ def _dim8_inverse(b: np.ndarray) -> np.ndarray:
     return np.concatenate([head, b[n:]])
 
 
-@register
 class SPDP(Codec):
-    info = MethodInfo(
-        name="SPDP", year=2018, domain="HPC", precision="S,D", arch="CPU",
-        parallel="serial",
-    )
-
     def _encode(self, words: np.ndarray, dims) -> bytes:
         b = np.ascontiguousarray(words).view(np.uint8)
         r = _word_lnv2_forward(b)

@@ -315,7 +315,8 @@ def scaling_benchmark(
     rounds over all the counts, and its best *wall-clock* time is taken —
     the speedup therefore includes scheduler overhead and core saturation
     exactly as the paper's thread sweeps include pthread overhead
-    (efficiency declines past the core count).
+    (efficiency declines past the core count). ``comp_spread`` and
+    ``decomp_spread`` are each job's slowest round over its best.
     ``parallelize`` ships each task only its own slice, so every job is
     one stage with no shuffle.
     """
@@ -340,20 +341,23 @@ def scaling_benchmark(
         jobs.append((decomp.sum, total))
     # round-robin: every run visits every count, so drift in the host's
     # speed over the minutes of a sweep reaches all counts alike
-    best_ns = [2**63 - 1] * len(jobs)
-    for _ in range(_SCALING_RUNS):
+    ns = np.empty((_SCALING_RUNS, len(jobs)), dtype=np.int64)
+    for r in range(_SCALING_RUNS):
         for i, (job, expected) in enumerate(jobs):
-            got, ns = best_of(1, job)
+            got, ns[r, i] = best_of(1, job)
             if got != expected:  # not an assert, which python -O strips
                 raise RuntimeError(
                     f"{method} at {counts[i // 2]} partitions: "
                     f"{('compress', 'decompress')[i % 2]} job got {got}, expected {expected}"
                 )
-            best_ns[i] = min(best_ns[i], ns)
-    mbs = total / np.reshape(best_ns, (-1, 2)) * 1e3  # bytes per ns * 1e3 = MB/s
+    best = ns.min(axis=0).reshape(-1, 2)
+    mbs = total / best * 1e3  # bytes per ns * 1e3 = MB/s
+    spread = ns.max(axis=0).reshape(-1, 2) / best
     out = pd.DataFrame({"partitions": counts, "comp_mbs": mbs[:, 0], "decomp_mbs": mbs[:, 1]})
     out["comp_speedup"] = out.comp_mbs / out.comp_mbs.iloc[0]
     out["comp_efficiency"] = out.comp_speedup / out.partitions
     out["decomp_speedup"] = out.decomp_mbs / out.decomp_mbs.iloc[0]
     out["decomp_efficiency"] = out.decomp_speedup / out.partitions
+    out["comp_spread"] = spread[:, 0]
+    out["decomp_spread"] = spread[:, 1]
     return out

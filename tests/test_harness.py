@@ -1,7 +1,6 @@
 """Spark harness tests: per-partition codec UDFs + oracle-checked SQL."""
 import json
 import os
-import pkgutil
 import random
 import statistics
 import subprocess
@@ -12,7 +11,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-import repro.codecs
 from repro.codecs.base import TABLE4_METHODS, load_codec
 from repro.core import harness
 from repro.core.harness import (
@@ -427,14 +425,13 @@ print(json.dumps([at_import, at_timer[0]]))
 """
 
 
-def test_a_fresh_worker_imports_every_codec_before_its_first_cell_timer():
+def test_a_fresh_worker_imports_its_cells_codec_before_its_first_cell_timer():
     # the imports of a fresh Python worker must not be charged to its first cell
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", _FIRST_TIMER], env=env, check=True, capture_output=True, text=True
     ).stdout
     at_import, at_timer = json.loads(out)
-    every = {f"repro.codecs.{m.name}" for m in pkgutil.iter_modules(repro.codecs.__path__)}
     # the driver imports the harness without the codec modules it never runs
     assert at_import == ["repro.codecs.base"]
-    assert set(at_timer) == every
+    assert "repro.codecs.buff" in at_timer

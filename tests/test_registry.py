@@ -1,18 +1,22 @@
-"""Registry metadata must reproduce Table 1 of the paper."""
+"""The method table must reproduce Table 1 of the paper and name real codecs."""
 import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.codecs
 
 from repro.codecs.base import (
     GPU_METHODS,
+    METHODS,
     TABLE4_METHODS,
     TABLE10_METHODS,
-    _REGISTRY,
-    import_codecs,
+    Codec,
     load_codec,
 )
 
@@ -35,16 +39,19 @@ TABLE1 = {
 }
 
 
-def test_all_fifteen_methods_registered():
+def test_table_rows_load_thirteen_codec_classes():
     """Table 1 lists fifteen methods; the one no table measures is not built
-    (DESIGN.md substitution #5), so the registry is Table 4's columns."""
-    import_codecs()
-    assert set(_REGISTRY) == set(TABLE4_METHODS) == set(TABLE1)
+    (DESIGN.md substitution #5), so the table's rows are Table 4's columns.
+    ndzip-C and ndzip-G share one class."""
+    assert set(METHODS) == set(TABLE4_METHODS) == set(TABLE1)
+    classes = {type(load_codec(m)) for m in METHODS}
+    assert len(classes) == 13
+    assert all(issubclass(c, Codec) for c in classes)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE1))
 def test_metadata_matches_table1(name):
-    info = load_codec(name).info
+    info = METHODS[name]
     year, domain, precision, arch, parallel = TABLE1[name]
     assert info.year == year
     assert info.domain == domain
@@ -63,12 +70,36 @@ def test_table10_methods_subset():
 
 
 def test_gpu_methods_partition():
-    assert GPU_METHODS == {m for m in TABLE4_METHODS if load_codec(m).info.arch == "GPU"}
+    assert GPU_METHODS == {m for m, row in TABLE1.items() if row[3] == "GPU"}
 
 
 def test_load_codec_returns_fresh_instances():
     a, b = load_codec("Gorilla"), load_codec("Gorilla")
     assert a is not b
+
+
+def test_methods_name_every_codec_module():
+    """Every codec module has a row, and each row's class is a codec defined
+    in the module it names."""
+    helpers = {"base", "lz77", "huffman"}
+    modules = {m.name for m in pkgutil.iter_modules(repro.codecs.__path__)} - helpers
+    assert {info.impl.split(":")[0] for info in METHODS.values()} == modules
+    for info in METHODS.values():
+        module, name = info.impl.split(":")
+        cls = getattr(importlib.import_module(f"repro.codecs.{module}"), name)
+        assert issubclass(cls, Codec) and cls.__module__ == f"repro.codecs.{module}"
+
+
+def test_load_codec_imports_only_its_own_module():
+    probe = (
+        "import sys; from repro.codecs.base import load_codec; load_codec('Gorilla'); "
+        "print('repro.codecs.gorilla' in sys.modules, 'repro.codecs.pfpc' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_codecs_import_no_private_names():

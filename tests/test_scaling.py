@@ -25,8 +25,12 @@ class TestScaling:
             "comp_efficiency",
             "decomp_speedup",
             "decomp_efficiency",
+            "comp_spread",
+            "decomp_spread",
         } <= set(table.columns)
         assert list(table.partitions) == [1, 2, 4]
+        # the slowest round over the fastest
+        assert (table.comp_spread >= 1).all() and (table.decomp_spread >= 1).all()
 
     def test_baseline_normalised(self, table):
         assert table.comp_speedup.iloc[0] == pytest.approx(1.0)
