@@ -100,6 +100,8 @@ class BUFF(Codec):
         qmin = int(np.frombuffer(payload, np.int64, 1, 4)[0])
         nexc = int(np.frombuffer(payload, np.uint32, 1, 12)[0])
         exc_idx = np.frombuffer(payload, np.uint32, nexc, 16).astype(np.int64)
+        if nexc and exc_idx.max() >= count:
+            raise ValueError(f"BUFF patch index {exc_idx.max()} is past the {count} values")
         exc_words = np.frombuffer(payload, wdt, nexc, 16 + 4 * nexc)
         data_off = 16 + (4 + wdt.itemsize) * nexc
         delta = self._gather(payload, count, k, data_off)

@@ -318,28 +318,3 @@ def blocks(arr: np.ndarray, nbytes: int | None) -> list[np.ndarray]:
         return [flat]
     step = max(nbytes, arr.itemsize) // arr.itemsize
     return [flat[o : o + step] for o in range(0, flat.size, step)] or [flat]
-
-
-def corpus_table(scale: float = 1.0):
-    """Table 3 analog: per-dataset domain, type, size, entropy, extent."""
-    import pandas as pd
-
-    from repro.core.metrics import value_entropy
-
-    rows = []
-    for spec in _CORPUS:
-        arr = generate(spec, scale)
-        rows.append(
-            {
-                "domain": spec.domain,
-                "name": spec.name,
-                "type": spec.dtype_code,
-                "size_bytes": int(arr.nbytes),
-                "entropy": round(value_entropy(arr), 2),
-                "extent": "x".join(map(str, arr.shape)),
-                "paper_size_bytes": spec.paper_bytes,
-                "paper_entropy": spec.paper_entropy,
-                "paper_extent": "x".join(map(str, spec.paper_extent)),
-            }
-        )
-    return pd.DataFrame(rows)

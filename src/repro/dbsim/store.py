@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from repro.codecs.base import load_codec
-from repro.data.corpus import blocks, corpus, generate, get_spec
+from repro.data.corpus import blocks, generate, get_spec
 
 _DEFAULT_CHUNK = 64 * 1024  # compression block = 64 KiB page (§6.2)
 
@@ -122,49 +122,3 @@ def read_decode_query(spark, path: str, dataset: str, method: str) -> QueryTimin
         query_ms=(t4 - t3) * 1e3 / len(edges),
         n_rows=len(df),
     )
-
-
-def table11(
-    workdir: str,
-    methods,
-    *,
-    scale: float = 1.0,
-    datasets=None,
-) -> pd.DataFrame:
-    """Table 11: read + decode time per method and the shared query time."""
-    datasets = datasets or [s.name for s in corpus() if s.domain == "DB"]
-    rows = []
-    for ds in datasets:
-        for m in methods:
-            path = os.path.join(workdir, f"{ds}__{m.replace(':', '_').replace('+', '_')}")
-            try:
-                store_compressed(None, path, ds, m, scale=scale)
-                t = read_decode_query(None, path, ds, m)
-            except Exception as e:  # the paper's "-" cells
-                rows.append(
-                    {"name": ds, "method": m, "read_ms": np.nan,
-                     "decode_ms": np.nan, "query_ms": np.nan,
-                     "error": f"{type(e).__name__}: {e}"}
-                )
-                continue
-            rows.append(
-                {"name": ds, "method": m, "read_ms": t.read_ms,
-                 "decode_ms": t.decode_ms, "query_ms": t.query_ms, "error": None}
-            )
-    return pd.DataFrame(rows)
-
-
-def format_table11(raw: pd.DataFrame, methods) -> pd.DataFrame:
-    """Pivot to the paper's layout: 'read+decode' per method, query column."""
-    out = {}
-    for ds, sub in raw.groupby("name", sort=False):
-        row = {}
-        for m in methods:
-            r = sub[sub.method == m]
-            if len(r) == 0 or not np.isfinite(r.read_ms.iloc[0]):
-                row[m] = "-"
-            else:
-                row[m] = f"{r.read_ms.iloc[0]:.0f}+{r.decode_ms.iloc[0]:.0f}"
-        row["query"] = f"{sub.query_ms.mean():.2f}"
-        out[ds] = row
-    return pd.DataFrame(out).T

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 
 from repro.codecs.base import load_codec
 from repro.core.metrics import best_of
@@ -91,35 +92,19 @@ def measure_machine_roof(nbytes: int = 1 << 27) -> MachineRoof:
     return MachineRoof(mem_bw_gbs=mem_bw, compute_gops=gops)
 
 
-@dataclass
-class RooflinePoint:
-    method: str
-    ai: float               # ops / byte
-    achieved_gops: float    # measured throughput × AI
-    roof_gops: float        # attainable at this AI
-    bound: str              # "memory" | "compute"
-    utilization: float      # achieved / roof
-
-
-def profile_codecs(methods, roof: MachineRoof, *, scale: float = 0.5) -> list[RooflinePoint]:
-    """Place each codec under the roof using its best-of-3 compression time
-    on :data:`DATASET`."""
+def profile_codecs(methods, roof: MachineRoof, *, scale: float = 0.5) -> pd.DataFrame:
+    """One row per method, placing it under the roof by its best-of-3
+    compression time on :data:`DATASET`: achieved GOPS is that throughput
+    times the method's arithmetic intensity, against the roof there."""
     arr = generate(get_spec(DATASET), scale)
-    points = []
+    rows = []
     for m in methods:
         codec = load_codec(m)
         _, ns = best_of(3, lambda: codec.compress(arr))
         ai = ARITHMETIC_INTENSITY[m]
         achieved = arr.nbytes / ns * ai  # bytes/ns = GB/s, × ops/byte
         attainable = roof.roof_at(ai)
-        points.append(
-            RooflinePoint(
-                method=m,
-                ai=ai,
-                achieved_gops=achieved,
-                roof_gops=attainable,
-                bound="memory" if ai < roof.ridge_ai else "compute",
-                utilization=achieved / attainable,
-            )
-        )
-    return points
+        bound = "memory" if ai < roof.ridge_ai else "compute"
+        rows.append((m, ai, achieved, attainable, bound, achieved / attainable))
+    columns = ["method", "ai_ops_per_byte", "achieved_gops", "roof_gops", "bound", "utilization"]
+    return pd.DataFrame(rows, columns=columns)

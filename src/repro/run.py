@@ -17,15 +17,16 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.codecs.base import TABLE4_METHODS
+from repro.codecs.base import METHODS, TABLE4_METHODS
 from repro.core import tables
 from repro.core.harness import (
     cached,
@@ -36,14 +37,16 @@ from repro.core.harness import (
     scaling_benchmark,
     write_cell_costs,
 )
-from repro.data.corpus import corpus_table
-from repro.dbsim.store import format_table11
-from repro.dbsim.store import table11 as dbsim_table11
+from repro.core.metrics import value_entropy
+from repro.data.corpus import corpus, generate
+from repro.dbsim.store import read_decode_query, store_compressed
 from repro.roofline.model import measure_machine_roof, profile_codecs
 
-#: Tables 7/8: the paper's four parallel-capable methods and thread counts,
-#: over msg-bt at this scale.
-SCALING_METHODS = ("pFPC", "shf+LZ4", "shf+zstd", "ndzip-C")
+#: Tables 7/8: the CPU methods that Table 1 runs on threads, and thread
+#: counts, over msg-bt at this scale.
+SCALING_METHODS = tuple(
+    m for m, info in METHODS.items() if info.arch == "CPU" and "threads" in info.parallel
+)
 SCALING_PARTITIONS = (1, 2, 4, 8, 16, 24, 32, 48)
 SCALING_SCALE = 24.0
 
@@ -120,7 +123,23 @@ def _text(pdf: pd.DataFrame, extra: str = "") -> str:
 
 
 def table03(ctx: Context) -> Table:
-    t3 = corpus_table(scale=ctx.scale)
+    rows = []
+    for spec in corpus():
+        arr = generate(spec, ctx.scale)
+        rows.append(
+            {
+                "domain": spec.domain,
+                "name": spec.name,
+                "type": spec.dtype_code,
+                "size_bytes": int(arr.nbytes),
+                "entropy": round(value_entropy(arr), 2),
+                "extent": "x".join(map(str, arr.shape)),
+                "paper_size_bytes": spec.paper_bytes,
+                "paper_entropy": spec.paper_entropy,
+                "paper_extent": "x".join(map(str, spec.paper_extent)),
+            }
+        )
+    t3 = pd.DataFrame(rows)
     return Table("Table 3: evaluated datasets (synthetic analogs)", {"table03": t3}, _text(t3))
 
 
@@ -180,9 +199,26 @@ def table10(ctx: Context) -> Table:
 
 
 def table11(ctx: Context) -> Table:
+    """Each DB dataset stored and read back by each method; a failed cell is
+    the paper's '-', with its error kept in the raw rows."""
+    rows = []
     with tempfile.TemporaryDirectory(prefix="fcbench_dbsim_") as workdir:
-        raw = dbsim_table11(workdir, tables.TABLE11_METHODS, scale=ctx.scale)
-    t11 = format_table11(raw, tables.TABLE11_METHODS)
+        for ds in (s.name for s in corpus() if s.domain == "DB"):
+            for m in tables.TABLE11_METHODS:
+                path = os.path.join(workdir, f"{ds}__{m.replace(':', '_').replace('+', '_')}")
+                try:
+                    store_compressed(None, path, ds, m, scale=ctx.scale)
+                    t = read_decode_query(None, path, ds, m)
+                    rows.append((ds, m, t.read_ms, t.decode_ms, t.query_ms, None))
+                except Exception as e:
+                    rows.append((ds, m, np.nan, np.nan, np.nan, f"{type(e).__name__}: {e}"))
+    raw = pd.DataFrame(rows, columns=["name", "method", "read_ms", "decode_ms", "query_ms", "error"])
+    # the paper's layout: 'read+decode' per method, then the mean query time
+    cells = {}
+    for ds, sub in raw.groupby("name", sort=False):
+        row = {r.method: "-" if r.error else f"{r.read_ms:.0f}+{r.decode_ms:.0f}" for r in sub.itertuples()}
+        cells[ds] = {**row, "query": f"{sub.query_ms.mean():.2f}"}
+    t11 = pd.DataFrame(cells).T
     return Table(
         "Table 11: read+decode and query time (ms) from blob files",
         {"table11": t11, "raw": raw},
@@ -193,8 +229,7 @@ def table11(ctx: Context) -> Table:
 def roofline(ctx: Context) -> Table:
     """Fig. 11 companion: machine roof and per-method placement (msg-bt analog)."""
     roof = measure_machine_roof()
-    pts = profile_codecs(TABLE4_METHODS, roof)
-    pdf = pd.DataFrame(map(asdict, pts)).rename(columns={"ai": "ai_ops_per_byte"})
+    pdf = profile_codecs(TABLE4_METHODS, roof)
     head = (
         f"machine roof: mem={roof.mem_bw_gbs:.1f} GB/s, compute={roof.compute_gops:.1f} GOPS, "
         f"ridge AI={roof.ridge_ai:.2f} ops/byte\n"

@@ -178,8 +178,12 @@ def _bits(s: str) -> bytes:
 # count; Gorilla ``11`` with lz 31 + 63 meaningful bits > 64; an fpzip
 # Huffman table with codes 00 and 01 only, so the fourth symbol's ``11``
 # matches none (stream 00 01 00 11); a shf+zstd frame whose two bytes are
-# no zlib stream; an nv::btcomp block packed 9 bytes wide.
+# no zlib stream; an nv::btcomp block packed 9 bytes wide; a packed BUFF
+# blob of 2 values whose one exception word is patched in at index 5.
 _BAD_RECORD = {
+    "BUFF": _blob(
+        2, bytes([1, 0, 0, 1]) + bytes(8) + (1).to_bytes(4, "little") + (5).to_bytes(4, "little") + bytes(10)
+    ),
     "Chimp": _blob(2, _bits("0" * 64 + "10" + "0" * 70)),
     "Gorilla": _blob(2, _bits("0" * 64 + "11" + "11111" + "111111" + "1" * 63)),
     "fpzip": _blob(

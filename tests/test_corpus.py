@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
+from repro import run
 from repro.core.metrics import harmonic_mean, value_entropy
 from repro.data import corpus as corpus_module
 from repro.data.corpus import (
     DOMAINS,
     blocks,
     corpus,
-    corpus_table,
     generate,
     get_spec,
     tpc_numeric_matrix,
@@ -83,16 +83,20 @@ class TestGeneration:
         assert cr("miranda3d") > cr("tpcDS-catalog")
 
 
+def _table03(scale):
+    return run.table03(run.Context(scale=scale)).frames["table03"]
+
+
 class TestCorpusTable:
     def test_columns(self):
-        tab = corpus_table(scale=0.05)
+        tab = _table03(0.05)
         assert {"domain", "name", "type", "size_bytes", "entropy", "extent"} <= set(
             tab.columns
         )
         assert len(tab) == 33
 
     def test_paper_reference_carried(self):
-        tab = corpus_table(scale=0.05)
+        tab = _table03(0.05)
         row = tab[tab.name == "astro-mhd"].iloc[0]
         assert row.paper_size_bytes == 548458560
         assert row.paper_entropy == 0.97

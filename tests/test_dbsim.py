@@ -6,15 +6,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from repro import run
 from repro.codecs.base import load_codec
-from repro.data.corpus import generate, get_spec
-from repro.dbsim.store import (
-    _columns,
-    format_table11,
-    read_decode_query,
-    store_compressed,
-    table11,
-)
+from repro.core import tables
+from repro.data.corpus import corpus, generate, get_spec
+from repro.dbsim.store import _columns, read_decode_query, store_compressed
 from repro.oracle import assert_equivalent
 
 
@@ -136,20 +132,26 @@ class TestQueryCorrectness:
 
 
 class TestTable11:
-    def test_small_run(self, tmp_path):
-        raw = table11(
-            str(tmp_path), ["MPC", "shf+zstd"], scale=0.05,
-            datasets=["tpcDS-web", "tpcH-order"],
-        )
-        assert set(raw.name) == {"tpcDS-web", "tpcH-order"}
-        assert raw.error.isna().all()
-        fmt = format_table11(raw, ["MPC", "shf+zstd"])
-        assert "query" in fmt.columns
-        assert "+" in fmt.loc["tpcDS-web", "MPC"]
+    """``run.table11`` over every DB dataset, at a small scale, for the
+    methods it is given through ``tables.TABLE11_METHODS``."""
 
-    def test_failed_cell_names_error_type(self, tmp_path):
-        raw = table11(str(tmp_path), ["no-such-codec"], scale=0.05, datasets=["tpcDS-web"])
-        (err,) = raw.error
-        assert err.startswith("KeyError: ") and "unknown codec" in err
-        fmt = format_table11(raw, ["no-such-codec"])
-        assert fmt.loc["tpcDS-web", "no-such-codec"] == "-"
+    def _table11(self, monkeypatch, methods):
+        monkeypatch.setattr(tables, "TABLE11_METHODS", methods)
+        return run.table11(run.Context(scale=0.05)).frames
+
+    def test_small_run(self, monkeypatch):
+        frames = self._table11(monkeypatch, ["MPC", "shf+zstd"])
+        raw, fmt = frames["raw"], frames["table11"]
+        db = [s.name for s in corpus() if s.domain == "DB"]
+        assert list(raw.name.unique()) == db
+        assert raw.error.isna().all()
+        assert list(fmt.index) == db
+        assert list(fmt.columns) == ["MPC", "shf+zstd", "query"]
+        assert all("+" in c for c in fmt[["MPC", "shf+zstd"]].to_numpy().ravel())
+
+    def test_failed_cell_names_error_type(self, monkeypatch):
+        frames = self._table11(monkeypatch, ["no-such-codec"])
+        raw, fmt = frames["raw"], frames["table11"]
+        assert raw.error.str.startswith("KeyError: ").all()
+        assert raw.error.str.contains("unknown codec").all()
+        assert (fmt["no-such-codec"] == "-").all()

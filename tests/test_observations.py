@@ -3,7 +3,11 @@
 One module-wide context declares the sweep-backed tables, so Tables 4, 5,
 6 and 9 read one sweep job, as ``python -m repro.run`` runs them. Table 10
 compares timings, so it has its own sweep, each cell timed best of 3.
+The texts that hold no timing must equal the committed ones in
+``benchmarks/out/``.
 """
+from pathlib import Path
+
 import pytest
 
 from repro import run
@@ -11,6 +15,9 @@ from repro.core.tables import DIM_METHODS, ranking_summary
 from repro.run import Context
 
 SCALE = 0.5
+
+#: The committed tables, which ``python -m repro.run --out`` writes at this scale.
+OUT = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +28,13 @@ def ctx(spark) -> Context:
 
 def test_table03_lists_every_dataset():
     assert len(run.table03(Context(scale=SCALE)).frames["table03"]) == 33
+
+
+@pytest.mark.parametrize("name", ["table03", "table04", "table09"])
+def test_text_is_the_committed_table(name, ctx):
+    """These tables hold compression ratios and corpus figures only, so a
+    change that keeps every blob and dataset regenerates them byte for byte."""
+    assert run.TABLES[name](ctx).text == (OUT / f"{name}.txt").read_text()
 
 
 def test_table04_ranking(ctx):
@@ -53,16 +67,31 @@ def test_table09_no_significant_difference(ctx):
     assert (t9.p_value.dropna() > 0.05).all()
 
 
-def test_table10_every_method_faster_on_larger_blocks(spark):
+@pytest.fixture(scope="module")
+def table10(spark) -> run.Table:
+    return run.table10(Context(scale=SCALE, repeats=3, session=spark, builds=("table10",)))
+
+
+def test_table10_every_method_faster_on_larger_blocks(table10):
     """Observation 8: throughputs improve with larger blocks. shf+LZ4's
     64K and 4K cells do the same LZ77 work on 4 KiB bit-plane chunks and
     differ by about 6%, so one slow sample would reverse them."""
-    ctx = Context(scale=SCALE, repeats=3, session=spark, builds=("table10",))
-    t10 = run.table10(ctx).frames["table10"]
+    t10 = table10.frames["table10"]
     assert set(t10.index.get_level_values("blocksize")) == {"4K", "64K", "8M"}
     ct4 = t10.loc[("4K", "avg-CT (GB/s)")]
     ct64 = t10.loc[("64K", "avg-CT (GB/s)")]
     assert (ct64 > ct4).all()
+
+
+def test_table10_ratios_are_the_committed_ones(table10):
+    """Table 10's timings vary by host; its avg-CR rows must not. The rows
+    are compared field by field, since a column's padding follows its
+    timing rows too."""
+
+    def cr_lines(text):
+        return [line.split() for line in text.splitlines() if "avg-CR" in line]
+
+    assert cr_lines(table10.text) == cr_lines((OUT / "table10.txt").read_text())
 
 
 def test_table11_retrieval_tracks_decode_speed():

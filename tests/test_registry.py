@@ -73,6 +73,14 @@ def test_gpu_methods_partition():
     assert GPU_METHODS == {m for m, row in TABLE1.items() if row[3] == "GPU"}
 
 
+def test_scaling_methods_are_the_threaded_cpu_rows():
+    """Tables 7/8 time the CPU methods whose Table-1 parallelism includes threads."""
+    from repro.run import SCALING_METHODS
+
+    threaded = [m for m in TABLE4_METHODS if TABLE1[m][3] == "CPU" and "threads" in TABLE1[m][4]]
+    assert list(SCALING_METHODS) == threaded == ["pFPC", "shf+LZ4", "shf+zstd", "ndzip-C"]
+
+
 def test_load_codec_returns_fresh_instances():
     a, b = load_codec("Gorilla"), load_codec("Gorilla")
     assert a is not b

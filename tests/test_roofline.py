@@ -33,18 +33,17 @@ class TestProfiles:
         """Observation 10: transform codecs near the memory roof; ndzip and
         the per-value codecs compute-bound."""
         roof = MachineRoof(mem_bw_gbs=15.0, compute_gops=60.0)  # ridge at 4
-        pts = {
-            p.method: p
-            for p in profile_codecs(
-                ["MPC", "nv::btcomp", "Gorilla", "SPDP"], roof, scale=0.1
-            )
+        pts = profile_codecs(["MPC", "nv::btcomp", "Gorilla", "SPDP"], roof, scale=0.1)
+        assert list(pts.columns) == [
+            "method", "ai_ops_per_byte", "achieved_gops", "roof_gops", "bound", "utilization"
+        ]
+        bound = dict(zip(pts.method, pts.bound))
+        assert bound == {
+            "MPC": "memory", "nv::btcomp": "memory", "Gorilla": "compute", "SPDP": "compute"
         }
-        assert pts["MPC"].bound == "memory"
-        assert pts["nv::btcomp"].bound == "memory"
-        assert pts["Gorilla"].bound == "compute"
-        assert pts["SPDP"].bound == "compute"
 
     def test_utilization_below_one_for_python_kernels(self):
         roof = measure_machine_roof(nbytes=1 << 24)
-        pts = profile_codecs(["nv::btcomp"], roof, scale=0.1)
-        assert 0 < pts[0].utilization < 1.5
+        (row,) = profile_codecs(["nv::btcomp"], roof, scale=0.1).itertuples()
+        assert 0 < row.utilization < 1.5
+        assert row.roof_gops == roof.roof_at(row.ai_ops_per_byte)
