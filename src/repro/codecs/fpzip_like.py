@@ -42,10 +42,7 @@ class FpzipLike(Codec):
         shape = tuple(dims) if len(dims) <= 3 else (words.size,)
         arr = to_ordered(words).reshape(shape)
         res = lag_diff(arr, 1, range(arr.ndim)).reshape(-1)
-        if width == 32:
-            zz = zigzag(res.view(np.int32), 32).astype(np.uint64)
-        else:
-            zz = zigzag(res.view(np.int64), 64)
+        zz = zigzag(res).astype(np.uint64, copy=False)
         sym = bit_length_u64(zz).astype(np.int64)  # 0..width significant bits
         huff = Huffman.from_symbols(sym, width + 1)
         hstream = huff.encode(sym)
@@ -62,7 +59,6 @@ class FpzipLike(Codec):
         )
 
     def _decode(self, payload, wdt, count, dims):
-        width = wdt.itemsize * 8
         tlen = int.from_bytes(payload[:2], "little")
         hlen = int.from_bytes(payload[2:10], "little")
         if len(payload) < 10 or 10 + tlen + hlen > len(payload):
@@ -75,7 +71,7 @@ class FpzipLike(Codec):
             sym > 0, np.uint64(1) << np.maximum(sym - 1, 0).astype(np.uint64), np.uint64(0)
         )
         zz = top | rem
-        res = unzigzag(zz, width).view(wdt)
+        res = unzigzag(zz.astype(wdt, copy=False)).view(wdt)
         shape = tuple(dims) if len(dims) <= 3 else (count,)
         arr = lag_sum(res.reshape(shape), 1, range(len(shape)))
         return from_ordered(arr.reshape(-1))

@@ -75,7 +75,7 @@ class Ndzip(Codec):
         ordered = to_ordered(words)
         blocks = ordered[tiled].reshape((-1,) + side)
         res = lag_diff(blocks, 1, range(1, blocks.ndim)).reshape(-1)
-        zz = zigzag(res.view(np.int32 if width == 32 else np.int64), width)
+        zz = zigzag(res)
         # each group of `width` residuals is a width x width bit matrix
         tw = bit_transpose(zz.reshape(-1, width).view(np.uint8), width, width)
         enc = drop_zero_words(tw.view(dt))
@@ -93,7 +93,7 @@ class Ndzip(Codec):
         side, tiled, tail = _layout(dims)
         tw = restore_zero_words(enc, tiled.size, wdt).reshape(-1, width)
         zz = bit_transpose(tw.view(np.uint8), width, width).view(wdt)
-        res = unzigzag(zz, width).view(wdt).reshape((-1,) + side)
+        res = unzigzag(zz).view(wdt).reshape((-1,) + side)
         out = np.empty(count, dtype=wdt)
         out[tiled] = lag_sum(res, 1, range(1, res.ndim)).reshape(-1)
         out[tail] = np.frombuffer(tail_buf, dtype=wdt, count=tail.size)

@@ -40,17 +40,12 @@ class NvLZ4(Codec):
 
 class NvBitcomp(Codec):
     def _encode(self, words: np.ndarray, dims) -> bytes:
-        w = np.ascontiguousarray(words).astype(np.uint64)
-        width = words.dtype.itemsize * 8
-        n = w.size
+        n = words.size
         if n == 0:
             return b""
-        delta = w.copy()
-        delta[1:] = w[1:] - w[:-1]  # wrapping delta
-        if width == 32:
-            zz = zigzag(delta.astype(np.uint32).view(np.int32), 32).astype(np.uint64)
-        else:
-            zz = zigzag(delta.view(np.int64), 64)
+        delta = words.copy()
+        delta[1:] = words[1:] - words[:-1]  # wrapping delta
+        zz = zigzag(delta).astype(np.uint64, copy=False)
         pad = (-n) % _BC_BLOCK
         zzp = np.concatenate([zz, np.zeros(pad, dtype=np.uint64)]).reshape(-1, _BC_BLOCK)
         # each block's first value is stored raw (it carries the cross-block
@@ -62,7 +57,6 @@ class NvBitcomp(Codec):
         return kbytes.astype(np.uint8).tobytes() + zzp[:, 0].tobytes() + residuals[keep].tobytes()
 
     def _decode(self, payload, wdt, count, dims):
-        width = wdt.itemsize * 8
         nblocks = -(-count // _BC_BLOCK)
         kbytes = np.frombuffer(payload, dtype=np.uint8, count=nblocks).astype(np.int64)
         if kbytes.max() > 8:
@@ -71,7 +65,8 @@ class NvBitcomp(Codec):
         zz[:, 0] = np.frombuffer(payload, dtype=np.uint64, count=nblocks, offset=nblocks)
         residuals, keep = _packed_bytes(zz, kbytes, count)
         residuals[keep] = np.frombuffer(payload, np.uint8, np.count_nonzero(keep), 9 * nblocks)
-        return np.cumsum(unzigzag(zz.reshape(-1)[:count], width).view(wdt), dtype=np.uint64)
+        res = unzigzag(zz.reshape(-1)[:count].astype(wdt, copy=False)).view(wdt)
+        return np.cumsum(res, dtype=np.uint64)
 
 
 #: Per byte width k, a uint64 whose low k bytes are 1 (as bools: bytes kept).

@@ -95,18 +95,17 @@ def lag_sum(r: np.ndarray, lag: int, axes: Iterable[int]) -> np.ndarray:
     return out
 
 
-def zigzag(x: np.ndarray, width: int) -> np.ndarray:
-    """Map signed residuals to unsigned so magnitude ~ |value| (0,-1,1,-2,…)."""
-    dt_i = np.int64 if width == 64 else np.int32
-    dt_u = np.uint64 if width == 64 else np.uint32
-    xs = np.ascontiguousarray(x).astype(dt_i, copy=False)
-    return ((xs << 1) ^ (xs >> (width - 1))).view(dt_u)
+def zigzag(x: np.ndarray) -> np.ndarray:
+    """Map signed residuals to unsigned so magnitude ~ |value| (0,-1,1,-2,…).
+
+    Words of either signedness are read as signed at their own width.
+    """
+    xs = x.view(f"i{x.itemsize}")
+    return ((xs << 1) ^ (xs >> (8 * x.itemsize - 1))).view(f"u{x.itemsize}")
 
 
-def unzigzag(u: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`zigzag`."""
-    dt_i = np.int64 if width == 64 else np.int32
-    dt_u = np.uint64 if width == 64 else np.uint32
-    ut = np.ascontiguousarray(u).astype(dt_u, copy=False)
-    one = dt_u(1)
-    return ((ut >> one) ^ (~(ut & one) + one)).view(dt_i)
+def unzigzag(u: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`zigzag`, for words of either signedness."""
+    ut = u.view(f"u{u.itemsize}")
+    one = ut.dtype.type(1)
+    return ((ut >> one) ^ (~(ut & one) + one)).view(f"i{u.itemsize}")

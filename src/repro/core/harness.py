@@ -66,9 +66,10 @@ RESULT_SCHEMA = StructType(
 )
 
 
-def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
+def run_cell(method: str, arr: np.ndarray, repeats: int) -> dict:
     """Compress, decompress and verify ``arr`` with ``method``, timing both:
-    the measured fields of one result row. Failures are recorded, not raised."""
+    the measured fields of one result row. A grid compresses with its dims.
+    Failures are recorded, not raised."""
     rec = {
         "orig_bytes": int(arr.nbytes),
         "comp_bytes": None,
@@ -80,9 +81,9 @@ def run_cell(method: str, arr: np.ndarray, dims, repeats: int) -> dict:
     try:
         codec = load_codec(method)
         reps = max(int(repeats), 1)  # paper: repeated runs, best-of kept stable
-        blob, comp_ns = best_of(reps, lambda: codec.compress(arr, dims=dims))
+        blob, comp_ns = best_of(reps, lambda: codec.compress(arr))
         out_arr, decomp_ns = best_of(reps, lambda: codec.decompress(blob))
-        ok = bool(np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8)))
+        ok = bool(np.array_equal(out_arr.view(np.uint8), arr.reshape(-1).view(np.uint8)))
         rec.update(
             comp_bytes=len(blob),
             comp_ns=comp_ns,
@@ -130,14 +131,10 @@ def write_cell_costs(path: Path, results: DataFrame) -> None:
 
 
 @cache
-def recorded_costs() -> tuple[dict[Cell, float], float]:
-    """:data:`COST_FILE`'s costs, read once per process, and their mean (1
-    with no file, which prices cells by their bytes alone)."""
-    costs = {}
-    if COST_FILE.exists():
-        for key, cost in json.loads(COST_FILE.read_text()).items():
-            dataset, method, *block = key.split(" ")
-            costs[dataset, method, int(block[0]) if block else None] = cost
+def recorded_costs() -> tuple[dict[str, float], float]:
+    """:data:`COST_FILE`'s costs by :func:`cell_key`, read once per process,
+    and their mean (1 with no file, which prices cells by their bytes alone)."""
+    costs = json.loads(COST_FILE.read_text()) if COST_FILE.exists() else {}
     return costs, statistics.fmean(costs.values()) if costs else 1.0
 
 
@@ -146,7 +143,7 @@ def cell_cost(cell: Cell, scale: float) -> float:
     generated: the cost per byte :data:`COST_FILE` records for it (else the
     mean of those recorded) times the dataset's bytes at ``scale``."""
     recorded, mean = recorded_costs()
-    return recorded.get(cell, mean) * get_spec(cell[0]).nbytes(scale)
+    return recorded.get(cell_key(cell), mean) * get_spec(cell[0]).nbytes(scale)
 
 
 def plan_bins(cells: Sequence[Cell], k: int, scale: float) -> tuple[tuple[Cell, ...], ...]:
@@ -185,8 +182,6 @@ def _run_partition(
                 spec = get_spec(name)
                 arr = generate(spec, scale)
                 for _, method, block_bytes in work:
-                    # dims only for the whole dataset: a block does not match the grid
-                    dims = arr.shape if block_bytes is None and arr.ndim > 1 else None
                     for block_id, block in enumerate(blocks(arr, block_bytes)):
                         out.append(
                             {
@@ -195,7 +190,7 @@ def _run_partition(
                                 "method": method,
                                 "block_bytes": block_bytes,
                                 "block_id": block_id,
-                                **run_cell(method, block, dims, repeats),
+                                **run_cell(method, block, repeats),
                             }
                         )
                 del arr

@@ -306,15 +306,16 @@ def generate(spec: DatasetSpec, scale: float = 1.0) -> np.ndarray:
 
 def blocks(arr: np.ndarray, nbytes: int | None) -> list[np.ndarray]:
     """Cut ``arr``'s values, flattened in C order, into blocks of whole
-    elements of at most ``max(nbytes, itemsize)`` bytes; ``None`` keeps them
-    as one block. An empty array gives one empty block.
+    elements of at most ``max(nbytes, itemsize)`` bytes; ``None`` keeps
+    ``arr`` as one block, with its shape. An empty array gives one empty block.
 
     The blocks are read-only views, so a codec cannot change the input that
     the next method compresses.
     """
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    flat.flags.writeable = False
+    whole = np.ascontiguousarray(arr).view()
+    whole.flags.writeable = False
     if nbytes is None:
-        return [flat]
+        return [whole]
+    flat = whole.reshape(-1)
     step = max(nbytes, arr.itemsize) // arr.itemsize
     return [flat[o : o + step] for o in range(0, flat.size, step)] or [flat]

@@ -3,8 +3,9 @@
 The paper's tool reads compressed chunks from HDF5 files into pandas
 dataframes and scans them in one process. h5py is unavailable offline, so
 the container format is a single uncompressed Parquet file of (chunk_id,
-dtype, payload) rows on local disk, written and read with pyarrow in the
-calling process (DESIGN.md substitution #6) — both are chunked binary
+payload) rows on local disk, each payload a self-describing codec blob,
+written and read with pyarrow in the calling process (DESIGN.md
+substitution #6) — both are chunked binary
 columnar containers, and the three timed primitives are identical:
 
 1. **file I/O** — read the compressed chunks from disk;
@@ -29,9 +30,7 @@ from repro.data.corpus import blocks, generate, get_spec
 
 _DEFAULT_CHUNK = 64 * 1024  # compression block = 64 KiB page (§6.2)
 
-_BLOB_SCHEMA = pa.schema(
-    [("chunk_id", pa.int64()), ("dtype", pa.string()), ("payload", pa.binary())]
-)
+_BLOB_SCHEMA = pa.schema([("chunk_id", pa.int64()), ("payload", pa.binary())])
 
 
 def _columns(arr: np.ndarray) -> list[str]:
@@ -59,10 +58,7 @@ def store_compressed(
     codec = load_codec(method)
     payloads = [codec.compress(b) for b in blocks(arr, chunk_bytes)]
     n = len(payloads)
-    table = pa.table(
-        {"chunk_id": range(n), "dtype": [str(arr.dtype)] * n, "payload": payloads},
-        schema=_BLOB_SCHEMA,
-    )
+    table = pa.table({"chunk_id": range(n), "payload": payloads}, schema=_BLOB_SCHEMA)
     if os.path.isdir(path):
         shutil.rmtree(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -104,7 +100,7 @@ def read_decode_query(spark, path: str, dataset: str, method: str) -> QueryTimin
     parts = [codec.decompress(p) for p in table.column("payload").to_pylist()]
     flat = np.concatenate(parts) if parts else np.zeros(0, spec.dtype)
     ncols = spec.extent[1] if len(spec.extent) > 1 else 1
-    mat = flat.reshape(-1, ncols) if ncols > 1 else flat.reshape(-1, 1)
+    mat = flat.reshape(-1, ncols)
     df = pd.DataFrame(mat, columns=_columns(mat))
     t2 = time.perf_counter()
 

@@ -76,9 +76,10 @@ CELLS = {
 class Context:
     scale: float = 1.0
     repeats: int = 1
-    session: SparkSession | None = None
     #: The builders this context will run: the first sweep runs all their cells.
     builds: tuple[str, ...] = ()
+    #: The active SparkSession, once :attr:`spark` has found or started it.
+    session: SparkSession | None = field(default=None, init=False)
     _results: DataFrame | None = field(default=None, repr=False)
     _ran: set = field(default_factory=set, repr=False)
     _metrics: dict = field(default_factory=dict, repr=False)

@@ -49,6 +49,28 @@ def test_summary_of_two_sides(tmp_path):
     # hmean_cr is higher-is-better and equal on every pair: no wins
     assert wl["pairs"]["hmean_cr"] == {"change_better": 0, "pairs": 4}
     assert wl["parent"]["git_sha"] == "parent"
+    assert wl["verdicts"] == dict.fromkeys(
+        ["setup_s", "pass_wall_rel", "hmean_cr", "driver_peak_rss_mb"], "held"
+    )
+
+
+_STEADY = [10.0, 10.1, 10.2, 10.3]  # IQR 0.15, under 10% of the median
+
+
+@pytest.mark.parametrize(
+    "parent,change,lower,want",
+    [
+        (_STEADY, [9.0, 9.2, 9.4, 9.9], True, "better"),
+        ([1.0, 1.01], [1.02, 1.03], False, "better"),
+        ([10.0, 12.0, 14.0, 16.0], [10.5, 12.5, 13.0, 17.0], True, "unresolved"),
+        (_STEADY, [11.5, 11.6, 11.7, 11.8], True, "worse"),
+        (_STEADY, [8.9, 9.0, 9.0, 9.1], False, "worse"),
+        (_STEADY, [10.0, 10.3, 10.5, 10.6], True, "held"),
+    ],
+    ids=["better-lower", "better-higher", "unresolved", "worse-lower", "worse-higher", "held"],
+)
+def test_verdict_against_a_10_percent_bound(parent, change, lower, want):
+    assert bench_summary.verdict(parent, change, lower, 0.1) == want
 
 
 def test_a_side_with_records_of_another_commit_is_refused(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.codecs.base import CodecFailure
-from repro.codecs.buff import BITS_FOR_PRECISION, BUFF, _detect_precision
+from repro.codecs.buff import _PACKED, BITS_FOR_PRECISION, BUFF, _detect_precision
 from tests.test_golden_bytes import INPUTS
 
 
@@ -79,3 +79,15 @@ class TestCompression:
         x = np.array([0.5, -0.0, 0.0, 1.25])
         out = BUFF().decompress(BUFF().compress(x))
         np.testing.assert_array_equal(out.view(np.uint64), x.view(np.uint64))
+
+
+class TestForgedCount:
+    @pytest.mark.parametrize("count", [2**40, 2**64 - 1], ids=["2^40", "2^64-1"])
+    def test_packed_sub_columns_raise_value_error(self, count):
+        # decimal input takes the packed path, whose sub-columns are read
+        # before any buffer of ``count`` values is allocated
+        x = np.round(np.random.default_rng(5).random(500) * 100, 2)
+        blob = BUFF().compress(x)
+        assert blob[11] == _PACKED
+        with pytest.raises(ValueError):
+            BUFF().decompress(blob[:3] + count.to_bytes(8, "little") + blob[11:])

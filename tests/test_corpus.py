@@ -120,10 +120,13 @@ class TestTpcNumericMatrix:
 
 
 class TestBlocks:
-    def test_whole_is_one_flat_block(self):
+    def test_whole_is_one_block_with_its_grid(self):
         arr = np.arange(12.0).reshape(3, 4)
         (block,) = blocks(arr, None)
-        np.testing.assert_array_equal(block, arr.reshape(-1))
+        assert block.shape == (3, 4)
+        np.testing.assert_array_equal(block, arr)
+        assert not block.flags.writeable
+        assert arr.flags.writeable
 
     @pytest.mark.parametrize("nbytes,sizes", [(20, [2, 2, 1]), (3, [1] * 5), (64, [5])])
     def test_whole_elements_per_block(self, nbytes, sizes):

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from repro import run
-from repro.codecs.base import load_codec
+from repro.codecs.base import load_codec, parse_envelope
 from repro.core import tables
 from repro.data.corpus import corpus, generate, get_spec
 from repro.dbsim.store import _columns, read_decode_query, store_compressed
@@ -52,9 +52,7 @@ class TestStoreFiles:
     def test_replaces_directory_of_part_files(self, tmp_path):
         path = tmp_path / "blob"
         path.mkdir()
-        stale = pa.table(
-            {"chunk_id": [99], "dtype": ["float64"], "payload": [b"stale"]}
-        )
+        stale = pa.table({"chunk_id": [99], "payload": [b"stale"]})
         pq.write_table(stale, str(path / "part-00000-stale.snappy.parquet"))
         (path / "_SUCCESS").touch()
 
@@ -80,10 +78,11 @@ class TestStoreFiles:
         path = str(tmp_path / "blob")
         store_compressed(None, path, "tpcDS-web", "shf+zstd", scale=0.05)
         assert pq.ParquetFile(path).schema_arrow == pa.schema(
-            [("chunk_id", pa.int64()), ("dtype", pa.string()), ("payload", pa.binary())]
+            [("chunk_id", pa.int64()), ("payload", pa.binary())]
         )
-        dtype = str(generate(get_spec("tpcDS-web"), 0.05).dtype)
-        assert set(pd.read_parquet(path).dtype) == {dtype}
+        # each payload records its dtype in its envelope
+        dtype = generate(get_spec("tpcDS-web"), 0.05).dtype
+        assert {parse_envelope(p)[0] for p in pd.read_parquet(path).payload} == {dtype}
 
     def test_equal_chunks_are_each_stored(self, tmp_path, monkeypatch):
         # a constant dataset: every 4 KiB chunk compresses to the same payload
@@ -95,7 +94,7 @@ class TestStoreFiles:
         payloads = [codec.compress(arr[i : i + 512]) for i in range(0, len(arr), 512)]
         assert len(set(payloads)) == 1
         assert info["comp_bytes"] == sum(map(len, payloads))
-        col = pq.ParquetFile(path).metadata.row_group(0).column(2)
+        col = pq.ParquetFile(path).metadata.row_group(0).column(1)  # payload
         assert not col.has_dictionary_page
         assert os.path.getsize(path) >= info["comp_bytes"]
         np.testing.assert_array_equal(_decoded(path, "MPC"), arr)

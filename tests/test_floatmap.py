@@ -58,22 +58,31 @@ class TestOrdered:
 class TestZigzag:
     @pytest.mark.parametrize("width", [32, 64])
     def test_small_values(self, width):
-        x = np.array([0, -1, 1, -2, 2], dtype=np.int64)
-        z = zigzag(x, width)
+        x = np.array([0, -1, 1, -2, 2], dtype=f"i{width // 8}")
+        z = zigzag(x)
+        assert z.dtype == np.dtype(f"u{width // 8}")
         assert z.tolist() == [0, 1, 2, 3, 4]
-        np.testing.assert_array_equal(unzigzag(z, width), x)
+        np.testing.assert_array_equal(unzigzag(z), x)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_unsigned_words_read_as_signed(self, width):
+        # a wrapping difference of unsigned words: -1 is the all-ones word
+        x = np.array([0, -1, 1, -2, 2], dtype=f"i{width // 8}")
+        u = x.view(f"u{width // 8}")
+        np.testing.assert_array_equal(zigzag(u), zigzag(x))
+        np.testing.assert_array_equal(unzigzag(zigzag(u)), x)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-(2**62), 2**62), max_size=30))
     def test_roundtrip64(self, xs):
         x = np.array(xs, dtype=np.int64)
-        np.testing.assert_array_equal(unzigzag(zigzag(x, 64), 64), x)
+        np.testing.assert_array_equal(unzigzag(zigzag(x)), x)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-(2**30), 2**30), max_size=30))
     def test_roundtrip32(self, xs):
         x = np.array(xs, dtype=np.int32)
-        np.testing.assert_array_equal(unzigzag(zigzag(x, 32), 32), x)
+        np.testing.assert_array_equal(unzigzag(zigzag(x)), x)
 
 
 class TestLagDifference:

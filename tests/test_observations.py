@@ -23,7 +23,7 @@ OUT = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 @pytest.fixture(scope="module")
 def ctx(spark) -> Context:
     builds = ("table04", "table05", "table06", "table09")
-    return Context(scale=SCALE, session=spark, builds=builds)
+    return Context(scale=SCALE, builds=builds)
 
 
 def test_table03_lists_every_dataset():
@@ -69,7 +69,7 @@ def test_table09_no_significant_difference(ctx):
 
 @pytest.fixture(scope="module")
 def table10(spark) -> run.Table:
-    return run.table10(Context(scale=SCALE, repeats=3, session=spark, builds=("table10",)))
+    return run.table10(Context(scale=SCALE, repeats=3, builds=("table10",)))
 
 
 def test_table10_every_method_faster_on_larger_blocks(table10):

@@ -94,7 +94,7 @@ T9_SCALE = 0.04
 
 @pytest.fixture(scope="module")
 def t9(spark):
-    return run.table09(Context(scale=T9_SCALE, session=spark)).frames["table09"]
+    return run.table09(Context(scale=T9_SCALE)).frames["table09"]
 
 
 @pytest.mark.parametrize("scale", [T9_SCALE, 0.1])
@@ -136,7 +136,7 @@ T10_DATA = dict(scale=0.05, datasets=["citytemp", "gas-price"])
 
 @pytest.fixture(scope="module")
 def t10(spark):
-    ctx = Context(scale=T10_DATA["scale"], session=spark)
+    ctx = Context(scale=T10_DATA["scale"])
     cells = {bs: [(d, m, bs) for d in T10_DATA["datasets"] for m in T10_METHODS] for bs in (4096, 65536)}
     return table10({bs: ctx.metrics(c)[0] for bs, c in cells.items()})
 
@@ -214,7 +214,7 @@ class TestOneSweepPerTable:
     )
     def test_one_sweep_each_bin_run_once(self, spark, sweeps, names):
         calls, ran = sweeps
-        ctx = Context(scale=T9_SCALE, session=spark, builds=names)
+        ctx = Context(scale=T9_SCALE, builds=names)
         for name in names:
             run.TABLES[name](ctx)
         assert len(calls) == 1
@@ -227,7 +227,7 @@ class TestOneSweepPerTable:
 
     def test_shared_cells_match_standalone_sweeps(self, spark, sweeps):
         calls, _ = sweeps
-        ctx = Context(scale=T9_SCALE, session=spark, builds=("table04",))
+        ctx = Context(scale=T9_SCALE, builds=("table04",))
         t4 = run.table04(ctx).frames["metrics"]
         run.table09(ctx)
         md_cells, flat_cells = table9_cells()

@@ -9,7 +9,9 @@ output holds the seeds run on both sides and, per side, the median, the
 quartiles and the IQR of each end-to-end metric that ``BENCHMARK.json``
 declares and of the raw ``sweep_wall_s``. Runs of one seed on both sides
 form a pair; for each metric the output counts the pairs in which the
-change was better, by the metric's direction in ``BENCHMARK.json``. Each
+change was better, by the metric's direction in ``BENCHMARK.json``, and
+gives each end-to-end metric a verdict against its ``bound`` there
+(:func:`verdict`). Each
 side also records its git SHA and the digest of its ``src/`` tree, as
 the run manifests give them (a checkout without ``.git`` has no SHA). A
 directory whose records disagree on those two, such as one still holding
@@ -57,7 +59,27 @@ def _value(record: dict, name: str) -> float:
     return figures[name]["value"]
 
 
-def summarise(parent: dict[int, dict], change: dict[int, dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """``better`` when every change run beats every parent run; else
+    ``unresolved`` when the parent's IQR exceeds ``bound`` times its median;
+    else ``worse`` when the change's median is worse than the parent's by
+    more than that; else ``held``."""
+    sign = 1 if lower else -1
+    if max(sign * v for v in change) < min(sign * v for v in parent):
+        return "better"
+    base = spread(parent)
+    limit = bound * abs(base["median"])
+    if base["iqr"] > limit:
+        return "unresolved"
+    if sign * (statistics.median(change) - base["median"]) > limit:
+        return "worse"
+    return "held"
+
+
+def summarise(parent: dict[int, dict], change: dict[int, dict], declared: dict[str, dict]) -> dict:
+    """One workload's summary; ``declared`` maps each end-to-end metric's
+    name to its ``BENCHMARK.json`` entry."""
+    better = {name: m["better"] for name, m in declared.items()}
     names = [*better, "sweep_wall_s"]
     sides = {}
     for side, runs in (("parent", parent), ("change", change)):
@@ -83,7 +105,16 @@ def summarise(parent: dict[int, dict], change: dict[int, dict], better: dict[str
             p, c = _value(parent[seed], name), _value(change[seed], name)
             won += (c < p) if lower else (c > p)
         wins[name] = {"change_better": won, "pairs": len(paired)}
-    return {"paired_seeds": paired, **sides, "pairs": wins}
+    verdicts = {
+        name: verdict(
+            [_value(r, name) for r in parent.values()],
+            [_value(r, name) for r in change.values()],
+            m["better"] == "lower",
+            m["bound"],
+        )
+        for name, m in declared.items()
+    }
+    return {"paired_seeds": paired, **sides, "pairs": wins, "verdicts": verdicts}
 
 
 def main(argv=None) -> int:
@@ -93,13 +124,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    declared = {m["name"]: m for m in spec["end_to_end"]}
     parent, change = load_runs(args.parent), load_runs(args.change)
     workloads = [w["name"] for w in spec["workloads"] if w["name"] in parent and w["name"] in change]
     out = {
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
-        "workloads": {w: summarise(parent[w], change[w], better) for w in workloads},
+        "workloads": {w: summarise(parent[w], change[w], declared) for w in workloads},
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
