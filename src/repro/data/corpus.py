@@ -15,6 +15,7 @@ EXPERIMENTS.md can print them next to measured values.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +34,7 @@ class DatasetSpec:
     paper_entropy: float
     paper_extent: tuple[int, ...]
     maker: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+    seed: int
 
     @property
     def dtype(self) -> np.dtype:
@@ -204,7 +206,13 @@ def _specs() -> list[DatasetSpec]:
     S = []
 
     def add(name, domain, tc, extent, pb, pe, pext, maker):
-        S.append(DatasetSpec(name, domain, tc, extent, pb, pe, pext, maker))
+        # a seed stable across processes (unlike hash()), so Spark executors
+        # and the DuckDB oracle see identical data: the name's first 8 bytes,
+        # or the CRC-32 of the whole name if an earlier dataset has that seed
+        seed = int(np.frombuffer(name.encode().ljust(8, b"_")[:8], np.uint64)[0] % 2**31)
+        if seed in {s.seed for s in S}:
+            seed = zlib.crc32(name.encode()) % 2**31
+        S.append(DatasetSpec(name, domain, tc, extent, pb, pe, pext, maker, seed))
 
     # HPC ------------------------------------------------------------------
     add("msg-bt", "HPC", "D", (65536,), 266_389_432, 23.67, (33298679,),
@@ -296,10 +304,7 @@ def get_spec(name: str) -> DatasetSpec:
 
 def generate(spec: DatasetSpec, scale: float = 1.0) -> np.ndarray:
     """Deterministically generate a dataset at the given scale."""
-    # seed from the name bytes (hash() varies across processes; this must
-    # be stable so Spark executors and the DuckDB oracle see identical data)
-    seed = int(np.frombuffer(spec.name.encode().ljust(8, b"_")[:8], np.uint64)[0] % (2**31))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(spec.seed)
     arr = spec.maker(g, spec.scaled_extent(scale))
     return np.ascontiguousarray(arr, dtype=spec.dtype)
 

@@ -47,6 +47,13 @@ class TestGeneration:
         b = generate(s, scale=0.1)
         np.testing.assert_array_equal(a, b)
 
+    def test_every_dataset_has_its_own_seed_and_values(self):
+        # datasets that share a name prefix once shared a seed, and
+        # tpcDS-catalog and tpcDS-web were one array
+        assert len({s.seed for s in SPECS}) == len(SPECS)
+        arrays = {(a.dtype.str, a.shape, a.tobytes()) for a in (generate(s, 0.5) for s in SPECS)}
+        assert len(arrays) == len(SPECS)
+
     @pytest.mark.parametrize("name", [s.name for s in SPECS])
     def test_dtype_and_shape(self, name):
         s = get_spec(name)
