@@ -5,8 +5,8 @@ dataframes and scans them in one process. h5py is unavailable offline, so
 the container format is a single uncompressed Parquet file of (chunk_id,
 payload) rows on local disk, each payload a self-describing codec blob,
 written and read with pyarrow in the calling process (DESIGN.md
-substitution #6) — both are chunked binary
-columnar containers, and the three timed primitives are identical:
+substitution #6) — both are chunked binary columnar containers, and the
+three timed primitives are identical:
 
 1. **file I/O** — read the compressed chunks from disk;
 2. **data decoding** — decompress chunks into a pandas dataframe;
