@@ -7,8 +7,10 @@ Every compressor produces a self-describing blob::
 so ``decompress`` needs no side channel — mirroring the standalone CLI
 compressors benchmarked by the paper, whose outputs are self-contained
 files. ``dims`` records the logical extent used by multi-dimensional
-predictors (fpzip/ndzip); passing ``dims=None`` compresses as a 1-D array,
-which is exactly the paper's Table 9 "1d" configuration.
+predictors (fpzip/ndzip). With ``dims=None`` an array of two or more
+dimensions records its own shape and a 1-D array records none. Table 9's
+"1d" cells are flat blocks, cut by ``corpus.blocks`` at
+``tables.FLAT_BLOCK_BYTES``.
 """
 from __future__ import annotations
 
@@ -63,18 +65,14 @@ class Codec:
         a = np.ascontiguousarray(arr)
         if a.ndim > 1 and dims is None:
             dims = a.shape
-        flat = a.reshape(-1)
-        dt = np.dtype(flat.dtype)
-        if dt not in _DTYPE_CODE:
-            raise TypeError(f"unsupported dtype {dt}")
+        words = to_words(a.reshape(-1))
         dims = tuple(int(d) for d in (dims or ()))
-        if dims and int(np.prod(dims)) != flat.size:
-            raise ValueError(f"dims {dims} do not match {flat.size} values")
+        if dims and int(np.prod(dims)) != words.size:
+            raise ValueError(f"dims {dims} do not match {words.size} values")
         header = struct.pack(
-            f"<BBBQ{len(dims)}I", _MAGIC, _DTYPE_CODE[dt], len(dims), flat.size, *dims
+            f"<BBBQ{len(dims)}I", _MAGIC, _DTYPE_CODE[a.dtype], len(dims), words.size, *dims
         )
-        payload = self._encode(to_words(flat), dims or (flat.size,))
-        return header + payload
+        return header + self._encode(words, dims or (words.size,))
 
     def decompress(self, blob: bytes) -> np.ndarray:
         dtype, count, dims, payload = parse_envelope(blob)

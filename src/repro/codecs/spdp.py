@@ -31,42 +31,26 @@ from repro.core.floatmap import lag_diff, lag_sum
 _GROUP = 8  # DIM8 byte-transpose word width (also the LNVs2 word size)
 
 
-def _word_lnv2_forward(b: np.ndarray) -> np.ndarray:
-    """LNVs2 at 8-byte-word granularity; trailing partial word untouched."""
+def _whole_words(b: np.ndarray, stage) -> np.ndarray:
+    """``stage`` applied to ``b``'s whole 8-byte words; a trailing partial
+    word passes through unchanged."""
     n = b.size - b.size % _GROUP
-    w = np.ascontiguousarray(b[:n]).view(np.uint64)
-    return np.concatenate([lag_diff(w, 2, (0,)).view(np.uint8), b[n:]])
-
-
-def _word_lnv2_inverse(r: np.ndarray) -> np.ndarray:
-    n = r.size - r.size % _GROUP
-    w = np.ascontiguousarray(r[:n]).view(np.uint64)
-    return np.concatenate([lag_sum(w, 2, (0,)).view(np.uint8), r[n:]])
-
-
-def _dim8_forward(b: np.ndarray) -> np.ndarray:
-    n = b.size - b.size % _GROUP
-    head = b[:n].reshape(-1, _GROUP).T.reshape(-1)
-    return np.concatenate([head, b[n:]])
-
-
-def _dim8_inverse(b: np.ndarray) -> np.ndarray:
-    n = b.size - b.size % _GROUP
-    head = b[:n].reshape(_GROUP, -1).T.reshape(-1)
-    return np.concatenate([head, b[n:]])
+    return np.concatenate([stage(b[:n]), b[n:]])
 
 
 class SPDP(Codec):
     def _encode(self, words: np.ndarray, dims) -> bytes:
+        # LNVs2 on 8-byte words, DIM8, LNVs1 on bytes, LZa6
         b = np.ascontiguousarray(words).view(np.uint8)
-        r = _word_lnv2_forward(b)
-        g = _dim8_forward(r)
+        r = _whole_words(b, lambda w: lag_diff(w.view(np.uint64), 2, (0,)).view(np.uint8))
+        g = _whole_words(r, lambda w: w.reshape(-1, _GROUP).T.reshape(-1))
         f = lag_diff(g, 1, (0,))
         return lz_compress(f.tobytes())
 
     def _decode(self, payload, wdt, count, dims):
+        # the stages' inverses in reverse order
         f = np.frombuffer(lz_decompress(payload), dtype=np.uint8)
         g = lag_sum(f, 1, (0,))
-        r = _dim8_inverse(g)
-        b = _word_lnv2_inverse(r)
+        r = _whole_words(g, lambda w: w.reshape(_GROUP, -1).T.reshape(-1))
+        b = _whole_words(r, lambda w: lag_sum(w.view(np.uint64), 2, (0,)).view(np.uint8))
         return np.frombuffer(b.tobytes(), dtype=wdt, count=count)

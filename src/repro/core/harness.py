@@ -45,9 +45,9 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.codecs.base import GPU_METHODS, TABLE4_METHODS, CodecFailure, load_codec
+from repro.codecs.base import GPU_METHODS, CodecFailure, load_codec
 from repro.core.metrics import best_of
-from repro.data.corpus import blocks, corpus, generate, get_spec
+from repro.data.corpus import blocks, generate, get_spec
 
 RESULT_SCHEMA = StructType(
     [
@@ -210,16 +210,15 @@ def run_cells(
 
 def run_benchmark(
     spark: SparkSession,
-    methods: Sequence[str] = tuple(TABLE4_METHODS),
+    methods: Sequence[str],
     *,
     scale: float = 1.0,
-    datasets: Sequence[str] | None = None,
+    datasets: Sequence[str],
     block_bytes: int | None = None,
 ) -> DataFrame:
-    """The codec sweep of ``methods`` over ``datasets`` (default: the
-    corpus), every cell with the same ``block_bytes``: :func:`run_cells`."""
-    specs = [get_spec(n) for n in datasets] if datasets else corpus()
-    cells = [(s.name, m, block_bytes) for s in specs for m in methods]
+    """The codec sweep of ``methods`` over ``datasets``, every cell with the
+    same ``block_bytes``: :func:`run_cells`."""
+    cells = [(d, m, block_bytes) for d in datasets for m in methods]
     return run_cells(spark, cells, scale=scale)
 
 

@@ -158,43 +158,41 @@ def _taxi(g, shape):
     return out
 
 
-def tpc_numeric_matrix(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
-    """Numeric (rows, cols) float matrix shaped like a TPC fact table.
-
-    The paper's DB-domain datasets (Table 3) are the numeric columns
-    extracted from TPC-H / TPCx-BB / TPC-DS transactions; this produces the
-    same column *kinds* (money amounts at 2 decimals, quantities, rates,
-    keys-as-floats). ``kind`` picks the column mix: ``"order"``/``"store"``/
-    ``"web"``/``"catalog"`` are money-heavy (2-decimal) mixes,
-    ``"lineitem"`` is the quantity/price/discount/tax mix of TPC-H lineitem.
-    """
-    g = np.random.default_rng(seed)
-    out = np.empty((rows, cols), dtype=np.float64)
-    if kind == "lineitem":
-        patterns = ["quantity", "price", "rate", "rate"]
-    elif kind == "order":
-        patterns = ["price"]
-    elif kind in ("store", "web", "catalog"):
-        patterns = ["price", "quantity", "rate", "key"]
-    else:
-        raise ValueError(f"unknown TPC kind {kind!r}")
-    for c in range(cols):
-        p = patterns[c % len(patterns)]
-        if p == "quantity":
-            out[:, c] = g.integers(1, 51, rows).astype(np.float64)
-        elif p == "price":
-            out[:, c] = np.round(g.random(rows) * 90000 + 900, 2)
-        elif p == "rate":
-            out[:, c] = np.round(g.random(rows) * 0.1, 2)
-        else:  # key
-            out[:, c] = g.integers(1, rows + 1, rows).astype(np.float64)
-    return out
+def _quantity(g: np.random.Generator, rows: int) -> np.ndarray:
+    return g.integers(1, 51, rows).astype(np.float64)
 
 
-def _tpc(kind: str, cols: int):
+def _price(g: np.random.Generator, rows: int) -> np.ndarray:
+    return np.round(g.random(rows) * 90000 + 900, 2)
+
+
+def _rate(g: np.random.Generator, rows: int) -> np.ndarray:
+    return np.round(g.random(rows) * 0.1, 2)
+
+
+def _key(g: np.random.Generator, rows: int) -> np.ndarray:
+    return g.integers(1, rows + 1, rows).astype(np.float64)
+
+
+#: The column mixes of the TPC fact tables, cycled over their numeric
+#: columns: TPC-H lineitem, TPC-H orders, and the money-heavy sales tables
+#: of TPCx-BB and TPC-DS (store, web, catalog).
+_LINEITEM = (_quantity, _price, _rate, _rate)
+_ORDERS = (_price,)
+_SALES = (_price, _quantity, _rate, _key)
+
+
+def _tpc(mix, cols: int):
+    """A maker of ``cols`` float64 columns in ``mix``'s kinds, shaped like
+    a TPC fact table's numeric columns (Table 3's DB domain): money at 2
+    decimals, quantities, rates and keys as floats. One column is 1-D."""
+
     def make(g: np.random.Generator, shape):
         rows = shape[0]
-        out = tpc_numeric_matrix(kind, rows, cols, int(g.integers(0, 2**31)))
+        h = np.random.default_rng(int(g.integers(0, 2**31)))
+        out = np.empty((rows, cols), dtype=np.float64)
+        for c in range(cols):
+            out[:, c] = mix[c % len(mix)](h, rows)
         return out.reshape(-1) if cols == 1 else out
 
     return make
@@ -271,19 +269,19 @@ def _specs() -> list[DatasetSpec]:
         lambda g, sh: _field(g, sh, octaves=2, noise=5e-3) * 50 + 300)
     # DB -------------------------------------------------------------------
     add("tpcH-order", "DB", "D", (65536,), 120_000_000, 23.40, (15000000,),
-        _tpc("order", 1))
+        _tpc(_ORDERS, 1))
     add("tpcxBB-store", "DB", "D", (5462, 12), 789_920_928, 16.73, (8228343, 12),
-        _tpc("store", 12))
+        _tpc(_SALES, 12))
     add("tpcxBB-web", "DB", "D", (4370, 15), 986_782_680, 17.64, (8223189, 15),
-        _tpc("web", 15))
+        _tpc(_SALES, 15))
     add("tpcH-lineitem", "DB", "S", (16384, 4), 959_776_816, 8.87, (59986051, 4),
-        _tpc("lineitem", 4))
+        _tpc(_LINEITEM, 4))
     add("tpcDS-catalog", "DB", "S", (4370, 15), 172_803_480, 17.34, (2880058, 15),
-        _tpc("catalog", 15))
+        _tpc(_SALES, 15))
     add("tpcDS-store", "DB", "S", (5462, 12), 276_515_952, 15.17, (5760749, 12),
-        _tpc("store", 12))
+        _tpc(_SALES, 12))
     add("tpcDS-web", "DB", "S", (4370, 15), 86_354_820, 17.33, (1439247, 15),
-        _tpc("web", 15))
+        _tpc(_SALES, 15))
     return S
 
 

@@ -16,7 +16,6 @@ three timed primitives are identical:
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from dataclasses import dataclass
 
@@ -49,9 +48,9 @@ def store_compressed(
 ) -> dict:
     """Compress a corpus dataset and write its chunks as one Parquet blob file.
 
-    Whatever is at ``path`` is replaced, including a directory of part
-    files, and missing parent directories are created. ``spark`` is unused;
-    it stays in the signature for callers that pass a session.
+    A file at ``path`` is replaced, and missing parent directories are
+    created. ``spark`` is unused; it stays in the signature for callers
+    that pass a session.
     """
     spec = get_spec(dataset)
     arr = generate(spec, scale)
@@ -59,8 +58,6 @@ def store_compressed(
     payloads = [codec.compress(b) for b in blocks(arr, chunk_bytes)]
     n = len(payloads)
     table = pa.table({"chunk_id": range(n), "payload": payloads}, schema=_BLOB_SCHEMA)
-    if os.path.isdir(path):
-        shutil.rmtree(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # the codec's bytes as they are, as in the paper's HDF5 chunks: Parquet's
     # default snappy would add its own decoding to the read column, and its

@@ -8,7 +8,7 @@ from repro.codecs.base import CodecFailure, load_codec, parse_envelope
 from repro.codecs.lz77 import lz_compress
 from repro.codecs.gfc import _LIMIT
 from repro.codecs.pfpc import PFPC
-from repro.codecs.spdp import _dim8_forward, _dim8_inverse
+from repro.codecs.spdp import _whole_words
 
 
 class TestGFC:
@@ -52,15 +52,16 @@ class TestPFPC:
 
 class TestSPDPTransforms:
     def test_dim8_roundtrip(self):
+        """DIM8 and its inverse over whole words round-trip, and the last
+        ``n % 8`` bytes pass through unchanged."""
         g = np.random.default_rng(4)
         for n in (0, 1, 7, 8, 9, 800, 805):
             b = g.integers(0, 256, n, dtype=np.uint8)
-            np.testing.assert_array_equal(_dim8_inverse(_dim8_forward(b)), b)
-
-    def test_dim8_groups_msb(self):
-        b = np.arange(16, dtype=np.uint8)
-        out = _dim8_forward(b)
-        np.testing.assert_array_equal(out[:2], [0, 8])  # byte 0 of each word
+            out = _whole_words(b, lambda w: w.reshape(-1, 8).T.reshape(-1))
+            assert out.size == n
+            np.testing.assert_array_equal(out[n - n % 8 :], b[n - n % 8 :])
+            back = _whole_words(out, lambda w: w.reshape(8, -1).T.reshape(-1))
+            np.testing.assert_array_equal(back, b)
 
 
 class TestBitshuffleBlocks:

@@ -149,6 +149,13 @@ def test_envelope_dtype_preserved(name):
 
 
 @pytest.mark.parametrize("name", TABLE4_METHODS)
+@pytest.mark.parametrize("dtype", [np.int64, np.float16], ids=["i64", "f16"])
+def test_unsupported_dtype_raises_type_error(name, dtype):
+    with pytest.raises(TypeError):
+        load_codec(name).compress(np.arange(6, dtype=dtype).reshape(2, 3))
+
+
+@pytest.mark.parametrize("name", TABLE4_METHODS)
 def test_malformed_envelope_raises_value_error(name):
     codec = load_codec(name)
     blob = codec.compress(np.arange(12.0).reshape(3, 4))

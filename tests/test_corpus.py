@@ -6,12 +6,15 @@ from repro import run
 from repro.core.metrics import harmonic_mean, value_entropy
 from repro.data import corpus as corpus_module
 from repro.data.corpus import (
+    _LINEITEM,
+    _ORDERS,
+    _SALES,
     DOMAINS,
+    _tpc,
     blocks,
     corpus,
     generate,
     get_spec,
-    tpc_numeric_matrix,
 )
 
 SPECS = corpus()
@@ -112,17 +115,14 @@ class TestCorpusTable:
 
 class TestTpcNumericMatrix:
     def test_tpc_numeric_matrix_kinds(self):
-        for kind in ("order", "store", "web", "catalog", "lineitem"):
-            m = tpc_numeric_matrix(kind, 100, 4, seed=1)
+        for mix in (_LINEITEM, _ORDERS, _SALES):
+            m = _tpc(mix, 4)(np.random.default_rng(1), (100, 4))
             assert m.shape == (100, 4)
             assert np.isfinite(m).all()
 
-    def test_tpc_numeric_matrix_unknown_kind(self):
-        with pytest.raises(ValueError):
-            tpc_numeric_matrix("nope", 10, 2, seed=0)
-
     def test_money_columns_two_decimals(self):
-        m = tpc_numeric_matrix("order", 500, 1, seed=2)
+        m = _tpc(_ORDERS, 1)(np.random.default_rng(2), (500,))
+        assert m.dtype == np.float64
         np.testing.assert_array_equal(np.round(m, 2), m)
 
 

@@ -49,21 +49,6 @@ class TestStoreFiles:
         t = read_decode_query(None, path, "tpcDS-web", "shf+zstd")
         assert t.n_rows == generate(get_spec("tpcDS-web"), 0.05).shape[0]
 
-    def test_replaces_directory_of_part_files(self, tmp_path):
-        path = tmp_path / "blob"
-        path.mkdir()
-        stale = pa.table({"chunk_id": [99], "payload": [b"stale"]})
-        pq.write_table(stale, str(path / "part-00000-stale.snappy.parquet"))
-        (path / "_SUCCESS").touch()
-
-        info = store_compressed(
-            None, str(path), "gas-price", "MPC", scale=0.05, chunk_bytes=4096
-        )
-        assert path.is_file()
-        assert list(pd.read_parquet(str(path)).chunk_id) == list(range(info["n_chunks"]))
-        arr = generate(get_spec("gas-price"), 0.05)
-        np.testing.assert_array_equal(_decoded(str(path), "MPC"), arr.reshape(-1))
-
     def test_store_twice_same_path(self, tmp_path):
         path = str(tmp_path / "blob")
         store_compressed(None, path, "tpcDS-web", "shf+zstd", scale=0.05)

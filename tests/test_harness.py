@@ -391,6 +391,10 @@ class TestPlan:
         assert res.schema == RESULT_SCHEMA
         assert res.count() == 0
 
+    def test_unknown_dataset_raises_on_the_driver(self, spark):
+        with pytest.raises(KeyError):
+            run_benchmark(spark, ["Gorilla"], scale=0.05, datasets=["no-such-dataset"])
+
     def test_no_exchange_in_executed_plan(self, spark):
         res = run_benchmark(spark, FAST_METHODS, **TINY)
         plan = res._jdf.queryExecution().executedPlan().toString()
